@@ -5,63 +5,3 @@ exact integer arithmetic; independent brute-force oracles verify every
 stage at tractable scale; a discrepancy report adjudicates the recomputed
 values against the published reference figures.
 """
-from .combinatorics import binom, factorial, pair_fill_count
-from .geometry import Site, board_sites, mirror, validate_geometry, zone, zone_names
-from .janggi import (
-    jg_grand_total,
-    jg_home_count,
-    jg_palace_arrangements,
-    jg_positions,
-)
-from .oracle import (
-    OracleBoundError,
-    enum_camp_xq,
-    enum_home_jg,
-    enum_pair_fill,
-    enum_positions_small,
-    enum_side_xq,
-    enum_soldiers_xq,
-)
-from .verify import run_verify
-from .xiangqi import (
-    CampClassRow,
-    camp_by_piece_count,
-    camp_classes,
-    side_exact,
-    side_reserve,
-    soldier_own_side,
-    xq_grand_total,
-    xq_positions,
-)
-
-__all__ = [
-    "CampClassRow",
-    "OracleBoundError",
-    "Site",
-    "binom",
-    "board_sites",
-    "camp_by_piece_count",
-    "camp_classes",
-    "enum_camp_xq",
-    "enum_home_jg",
-    "enum_pair_fill",
-    "enum_positions_small",
-    "enum_side_xq",
-    "enum_soldiers_xq",
-    "factorial",
-    "jg_grand_total",
-    "jg_home_count",
-    "jg_palace_arrangements",
-    "jg_positions",
-    "mirror",
-    "pair_fill_count",
-    "run_verify",
-    "side_exact",
-    "side_reserve",
-    "soldier_own_side",
-    "validate_geometry",
-    "xq_grand_total",
-    "xq_positions",
-    "zone",
-    "zone_names",
-]

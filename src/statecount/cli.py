@@ -14,8 +14,7 @@ import time
 from typing import Sequence
 
 from . import janggi, oracle, verify, xiangqi
-from .combinatorics import pair_fill_count
-from .fixtures import JG_SLIST, XQ_DLIST
+from .fixtures import FAMILIES
 from .geometry import zone, zone_names
 
 TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "klist", "slist", "geometry")
@@ -23,6 +22,21 @@ TABLES_BY_VARIANT = {
     "xiangqi": ("t1", "t2", "t3", "t4", "t5", "klist", "slist", "geometry"),
     "janggi": ("t6", "klist", "slist", "geometry"),
 }
+# per variant: index header, light-stage family, pair-fill family
+LISTS = {
+    "xiangqi": ("blanks", "xq.klist", "xq.dlist"),
+    "janggi": ("pieces", "jg.klist", "jg.slist"),
+}
+# t3-t6 print one family as a grid: family, row header, row indices, column
+# header prefix, column indices, and whether a key is (row, column) rather
+# than (column, row)
+GRIDS = {
+    "t3": ("xq.table3", "soldiers", range(6), "blank_", (10, 9, 8), False),
+    "t4": ("xq.table4", "soldiers", range(6), "blanks_", range(35, 45), False),
+    "t5": ("xq.table5", "reserve", range(6), "blanks_", range(35, 45), False),
+    "t6": ("jg.table6", "pieces", range(1, 9), "reserve_", range(6), True),
+}
+CAMP_HEADERS = ["total", "two_shared", "one_shared", "no_shared"]
 ORACLE_TARGETS = (
     "enum_camp_xq",
     "enum_soldiers_xq",
@@ -80,11 +94,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.variant == "xiangqi":
         total = xiangqi.xq_grand_total()
         terms = list(xiangqi.grand_total_terms())
-        index_name = "blanks"
     else:
         total = janggi.jg_grand_total()
         terms = list(janggi.grand_total_terms())
-        index_name = "pieces"
+    index_name = LISTS[args.variant][0]
     if args.format == "dec":
         print(total)
         return 0
@@ -126,70 +139,38 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]]]:
-    if table_id == "t1":
-        headers = ["used_pieces", "advisors", "elephants", "total",
-                   "two_shared", "one_shared", "no_shared"]
-        rows = []
-        for a in (2, 1, 0):
-            for e in (2, 1, 0):
-                row = xiangqi.camp_classes(a, e)
-                c = row.by_shared_elephants
-                rows.append([str(v) for v in (a + e + 1, a, e, row.total, c[2], c[1], c[0])])
-        return headers, rows
-    if table_id == "t2":
-        headers = ["used_pieces", "total", "two_shared", "one_shared", "no_shared"]
-        rows = []
-        for pieces in (5, 4, 3, 2, 1):
-            row = xiangqi.camp_by_piece_count(pieces)
-            c = row.by_shared_elephants
-            rows.append([str(v) for v in (pieces, row.total, c[2], c[1], c[0])])
-        return headers, rows
-    if table_id == "t3":
-        headers = ["soldiers", "blank_10", "blank_9", "blank_8"]
+    index_name, klist, slist = LISTS[variant]
+    if table_id in GRIDS:
+        name, row_header, row_indices, prefix, col_indices, row_first = GRIDS[table_id]
+        compute = FAMILIES[name].compute
+        headers = [row_header] + [f"{prefix}{c}" for c in col_indices]
         rows = [
-            [str(s)] + [str(xiangqi.soldier_own_side(blank, s)) for blank in (10, 9, 8)]
-            for s in range(6)
-        ]
-        return headers, rows
-    if table_id == "t4":
-        headers = ["soldiers"] + [f"blanks_{n}" for n in range(35, 45)]
-        rows = [
-            [str(s)] + [str(xiangqi.side_exact(n, s)) for n in range(35, 45)]
-            for s in range(6)
-        ]
-        return headers, rows
-    if table_id == "t5":
-        headers = ["reserve"] + [f"blanks_{n}" for n in range(35, 45)]
-        rows = [
-            [str(k)] + [str(xiangqi.side_reserve(n, k)) for n in range(35, 45)]
-            for k in range(6)
-        ]
-        return headers, rows
-    if table_id == "t6":
-        headers = ["pieces"] + [f"reserve_{k}" for k in range(6)]
-        rows = [
-            [str(n)] + [str(janggi.jg_home_count(n, k)) for k in range(6)]
-            for n in range(1, 9)
+            [str(r)] + [str(compute(r, c) if row_first else compute(c, r))
+                        for c in col_indices]
+            for r in row_indices
         ]
         return headers, rows
     if table_id == "klist":
-        if variant == "xiangqi":
-            headers = ["blanks", "count"]
-            rows = [[str(x), str(xiangqi.xq_positions(x))] for x in range(70, 89)]
-        else:
-            headers = ["pieces", "count"]
-            rows = [[str(n), str(janggi.jg_positions(n))] for n in range(2, 17)]
-        return headers, rows
+        fam = FAMILIES[klist]
+        rows = [[str(i), str(fam.compute(i))] for (i,) in sorted(fam.values)]
+        return [index_name, "count"], rows
     if table_id == "slist":
-        pairs, printed = (6, XQ_DLIST) if variant == "xiangqi" else (8, JG_SLIST)
-        headers = ["sites", "computed", "printed", "status"]
+        fam = FAMILIES[slist]
         rows = []
-        for k, paper_value in enumerate(printed):
-            computed = pair_fill_count(pairs, k)
-            status = "ok" if computed == paper_value else "typo-suspect"
-            rows.append([str(k), str(computed), str(paper_value), status])
-        return headers, rows
-    raise ValueError(table_id)
+        for (k,), printed in fam.values.items():
+            computed = fam.compute(k)
+            status = "ok" if computed == printed else "typo-suspect"
+            rows.append([str(k), str(computed), str(printed), status])
+        return ["sites", "computed", "printed", "status"], rows
+    if table_id == "t1":
+        headers = ["used_pieces", "advisors", "elephants"]
+        camp = [(a + e + 1, a, e, xiangqi.camp_classes(a, e))
+                for a in (2, 1, 0) for e in (2, 1, 0)]
+    else:  # t2
+        headers = ["used_pieces"]
+        camp = [(p, xiangqi.camp_by_piece_count(p)) for p in (5, 4, 3, 2, 1)]
+    rows = [[str(v) for v in (*lead, *row.columns)] for *lead, row in camp]
+    return headers + CAMP_HEADERS, rows
 
 
 def _emit_geometry(args: argparse.Namespace) -> int:
@@ -229,26 +210,17 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             params.append(raw)
     started = time.perf_counter()
     try:
-        if args.target == "enum_camp_xq":
-            row = oracle.enum_camp_xq(*params)
-            c = row.by_shared_elephants
-            output = (f"total={row.total} two_shared={c[2]} "
-                      f"one_shared={c[1]} no_shared={c[0]}")
-        elif args.target == "enum_soldiers_xq":
-            output = str(oracle.enum_soldiers_xq(*params))
-        elif args.target == "enum_side_xq":
-            output = str(oracle.enum_side_xq(*params))
-        elif args.target == "enum_home_jg":
-            output = str(oracle.enum_home_jg(*params))
-        elif args.target == "enum_pair_fill":
-            output = str(oracle.enum_pair_fill(*params))
-        else:
-            counts = oracle.enum_positions_small(*params)
-            output = " ".join(f"{t}:{counts[t]}" for t in sorted(counts))
-    except oracle.OracleBoundError as exc:
+        result = getattr(oracle, args.target)(*params)
+    except ValueError as exc:  # OracleBoundError included
         parser.error(str(exc))
     except TypeError as exc:
         parser.error(f"bad oracle arguments: {exc}")
+    if args.target == "enum_camp_xq":
+        output = " ".join(f"{h}={v}" for h, v in zip(CAMP_HEADERS, result.columns))
+    elif args.target == "enum_positions_small":
+        output = " ".join(f"{t}:{result[t]}" for t in sorted(result))
+    else:
+        output = str(result)
     elapsed = time.perf_counter() - started
     print(output)
     print(f"wall_time_s={elapsed:.3f}")

@@ -1,7 +1,8 @@
 """Published reference values audited by the verify command.
 
-Each fixture pins one printed value from the source publication's tables
-and value lists, with a trust level carried over from source criticism:
+Each published table or value list is one ``Family`` record, and each
+printed value one fixture of it, with a trust level carried over from
+source criticism:
 
 * ``verified-consistent`` — the printed value is legible and was judged
   internally consistent on inspection.
@@ -14,18 +15,12 @@ by recomputation and the enumeration oracles, not by this field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+from . import combinatorics, janggi, oracle, xiangqi
 
 VERIFIED = "verified-consistent"
 SUSPECT = "typo-suspect"
-
-
-@dataclass(frozen=True)
-class ReferenceFixture:
-    quantity_id: str
-    paper_value: int
-    trust: str
-    locator: str
-
 
 # --- Xiangqi camp arrangements (source table 1): (advisors, elephants) ->
 #     (total, two shared-site elephants, one, none)
@@ -159,70 +154,129 @@ JG_SLIST = [1, 8, 64, 504, 2028, 28560, 44520, 294000, 441840, 6773760,
 JG_TOTAL = 235103954659801304018684123148785542989018468
 
 
-def _build() -> list[ReferenceFixture]:
-    out: list[ReferenceFixture] = []
-    cls = ("total", "two5", "one5", "no5")
-    for (a, e), values in TABLE1.items():
-        for name, value in zip(cls, values):
-            out.append(ReferenceFixture(
-                f"xq.table1.{a},{e}.{name}", value, VERIFIED,
-                f"source table 1, row {a},{e}, column {name}"))
-    for pieces, values in TABLE2.items():
-        for name, value in zip(cls, values):
-            out.append(ReferenceFixture(
-                f"xq.table2.{pieces}.{name}", value, VERIFIED,
-                f"source table 2, row {pieces}, column {name}"))
-    for (blank, s), value in TABLE3.items():
-        out.append(ReferenceFixture(
-            f"xq.table3.{blank},{s}", value, VERIFIED,
-            f"source table 3, {blank} blank sites, {s} soldiers"))
-    for (n, s), value in TABLE4.items():
-        out.append(ReferenceFixture(
-            f"xq.table4.{n},{s}", value, SUSPECT,
-            f"source table 4 (realigned), {n} blanks, {s} soldiers"))
-    for (n, k), value in TABLE5.items():
-        out.append(ReferenceFixture(
-            f"xq.table5.{n},{k}", value, VERIFIED,
-            f"source table 5, {n} blanks, reserve {k}"))
-    for x, value in XQ_KLIST.items():
-        out.append(ReferenceFixture(
-            f"xq.klist.{x}", value, VERIFIED,
-            f"source light-stage list, {x} blanks"))
-    for y, value in enumerate(XQ_DLIST):
-        out.append(ReferenceFixture(
-            f"xq.dlist.{y}", value, VERIFIED,
-            f"source six-pair fill list, entry {y}"))
-    out.append(ReferenceFixture(
-        "xq.total", XQ_TOTAL, VERIFIED, "source grand total (40 digits)"))
-    for advisors, value in JG_PALACE.items():
-        out.append(ReferenceFixture(
-            f"jg.palace.{advisors}", value, VERIFIED,
-            f"source palace arrangements, {advisors} advisors"))
-    for (n, k), value in TABLE6.items():
-        out.append(ReferenceFixture(
-            f"jg.table6.{n},{k}", value, VERIFIED,
-            f"source table 6, {n} pieces, reserve {k}"))
-    for n, value in JG_KLIST.items():
-        out.append(ReferenceFixture(
-            f"jg.klist.{n}", value, VERIFIED,
-            f"source light-stage list, {n} pieces"))
-    for k, value in enumerate(JG_SLIST):
-        out.append(ReferenceFixture(
-            f"jg.slist.{k}", value, SUSPECT,
-            f"source eight-pair fill list, entry {k}"))
-    out.append(ReferenceFixture(
-        "jg.total", JG_TOTAL, VERIFIED, "source grand total (45 digits)"))
-    return out
+# printed column order of tables 1 and 2 (see ``CampClassRow.columns``)
+CAMP_COLUMNS = ("total", "two5", "one5", "no5")
+# largest m**n a verify run spends on one pair-fill oracle call
+_PAIR_FILL_ORACLE_BUDGET = 2_500_000
 
 
-ALL_FIXTURES: tuple[ReferenceFixture, ...] = tuple(_build())
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One published table or list, keyed by index tuples.
+
+    ``compute(*key)`` recomputes a value through the closed form;
+    ``oracle(*key)`` enumerates it, or returns None where that is
+    intractable.  Both look the layer functions up when called, so a caller
+    that rebinds a module attribute sees every call.
+    """
+
+    name: str
+    suffix: str  # format of the index part of an id, filled from the key
+    scope: str  # the verify scope that owns the family
+    source: str
+    values: dict[tuple, int]
+    compute: Callable[..., int]
+    oracle: Callable[..., int | None] | None = None
+    trust: str = VERIFIED
+
+
+@dataclass(frozen=True)
+class ReferenceFixture:
+    family: Family
+    key: tuple
+    paper_value: int
+
+    @property
+    def quantity_id(self) -> str:
+        name = self.family.name
+        return f"{name}.{self.family.suffix.format(*self.key)}" if self.key else name
+
+
+def _keyed(printed) -> dict[tuple, int]:
+    """Printed values keyed by index tuples; a list is indexed from 0."""
+    items = printed.items() if isinstance(printed, dict) else enumerate(printed)
+    return {key if isinstance(key, tuple) else (key,): value for key, value in items}
+
+
+def _by_column(printed: dict) -> dict[tuple, int]:
+    """Camp-table rows split into one value per printed column."""
+    return {(*key, column): value
+            for key, row in _keyed(printed).items()
+            for column, value in zip(CAMP_COLUMNS, row)}
+
+
+def _camp_column(row: xiangqi.CampClassRow, column: str) -> int:
+    return row.columns[CAMP_COLUMNS.index(column)]
+
+
+def _positions_oracle(variant: str, light_pieces: int) -> int | None:
+    if light_pieces > oracle.POSITIONS_MAX_LIGHT_PIECES:
+        return None
+    return oracle.positions_small(variant).get(light_pieces, 0)
+
+
+def _pair_fill_oracle(m: int, n: int) -> int | None:
+    if m ** max(n, 1) > _PAIR_FILL_ORACLE_BUDGET:
+        return None
+    return oracle.enum_pair_fill(m, n)
+
+
+FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
+    Family("xq.table1", "{},{}.{}", "xiangqi", "source table 1", _by_column(TABLE1),
+           lambda a, e, column: _camp_column(xiangqi.camp_classes(a, e), column),
+           lambda a, e, column: _camp_column(oracle.enum_camp_xq(a, e), column)),
+    Family("xq.table2", "{}.{}", "xiangqi", "source table 2", _by_column(TABLE2),
+           lambda pieces, column: _camp_column(xiangqi.camp_by_piece_count(pieces), column),
+           lambda pieces, column: sum(
+               _camp_column(oracle.enum_camp_xq(a, e), column)
+               for a in range(3) for e in range(3) if a + e + 1 == pieces)),
+    Family("xq.table3", "{},{}", "xiangqi", "source table 3", TABLE3,
+           lambda blank, s: xiangqi.soldier_own_side(blank, s),
+           lambda blank, s: oracle.enum_soldiers_xq(10 - blank, s)),
+    Family("xq.table4", "{},{}", "xiangqi", "source table 4 (realigned)", TABLE4,
+           lambda n, s: xiangqi.side_exact(n, s),
+           lambda n, s: oracle.enum_side_exact_xq(n, s), trust=SUSPECT),
+    Family("xq.table5", "{},{}", "xiangqi", "source table 5", TABLE5,
+           lambda n, k: xiangqi.side_reserve(n, k),
+           lambda n, k: oracle.enum_side_xq(n, k)),
+    Family("xq.klist", "{}", "xiangqi", "source light-stage list, by blanks",
+           _keyed(XQ_KLIST), lambda x: xiangqi.xq_positions(x),
+           lambda x: _positions_oracle("xiangqi", 90 - x)),
+    Family("xq.dlist", "{}", "combinatorics", "source six-pair fill list",
+           _keyed(XQ_DLIST), lambda y: combinatorics.pair_fill_count(6, y),
+           lambda y: _pair_fill_oracle(6, y)),
+    Family("xq.total", "", "xiangqi", "source grand total (40 digits)",
+           {(): XQ_TOTAL}, lambda: xiangqi.xq_grand_total()),
+    Family("jg.palace", "{}", "janggi", "source palace arrangements, by advisors",
+           _keyed(JG_PALACE), lambda advisors: janggi.jg_palace_arrangements(advisors),
+           lambda advisors: oracle.enum_home_jg(advisors + 1, 5)),
+    Family("jg.table6", "{},{}", "janggi", "source table 6", TABLE6,
+           lambda n, k: janggi.jg_home_count(n, k),
+           lambda n, k: oracle.enum_home_jg(n, k)),
+    Family("jg.klist", "{}", "janggi", "source light-stage list, by pieces",
+           _keyed(JG_KLIST), lambda n: janggi.jg_positions(n),
+           lambda n: _positions_oracle("janggi", n)),
+    Family("jg.slist", "{}", "combinatorics", "source eight-pair fill list",
+           _keyed(JG_SLIST), lambda k: combinatorics.pair_fill_count(8, k),
+           lambda k: _pair_fill_oracle(8, k), trust=SUSPECT),
+    Family("jg.total", "", "janggi", "source grand total (45 digits)",
+           {(): JG_TOTAL}, lambda: janggi.jg_grand_total()),
+)}
+
+ALL_FIXTURES: tuple[ReferenceFixture, ...] = tuple(
+    ReferenceFixture(fam, key, value)
+    for fam in FAMILIES.values() for key, value in fam.values.items()
+)
 
 _BY_ID = {f.quantity_id: f for f in ALL_FIXTURES}
 assert len(_BY_ID) == len(ALL_FIXTURES), "fixture ids must be unique"
 
 
 def fixture(quantity_id: str) -> ReferenceFixture:
-    return _BY_ID[quantity_id]
+    try:
+        return _BY_ID[quantity_id]
+    except KeyError:
+        raise ValueError(f"unknown quantity id {quantity_id!r}") from None
 
 
 def fixtures_for_scope(scope: str) -> list[ReferenceFixture]:
@@ -233,13 +287,6 @@ def fixtures_for_scope(scope: str) -> list[ReferenceFixture]:
     """
     if scope == "all":
         return list(ALL_FIXTURES)
-    if scope == "xiangqi":
-        return [f for f in ALL_FIXTURES
-                if f.quantity_id.startswith("xq.") and not f.quantity_id.startswith("xq.dlist")]
-    if scope == "janggi":
-        return [f for f in ALL_FIXTURES
-                if f.quantity_id.startswith("jg.") and not f.quantity_id.startswith("jg.slist")]
-    if scope == "combinatorics":
-        return [f for f in ALL_FIXTURES
-                if f.quantity_id.startswith(("xq.dlist", "jg.slist"))]
-    raise ValueError(f"unknown scope {scope!r}")
+    if scope not in {fam.scope for fam in FAMILIES.values()}:
+        raise ValueError(f"unknown scope {scope!r}")
+    return [f for f in ALL_FIXTURES if f.family.scope == scope]

@@ -38,6 +38,11 @@ def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
     Advisors and elephants are identical within their type, so subsets of
     sites (not sequences) are enumerated.  Domain <= C(5,2)*C(7,2)*9.
     """
+    if not (0 <= advisors <= 2 and 0 <= elephants <= 2):
+        raise OracleBoundError(
+            f"enum_camp_xq takes 0..2 advisors and 0..2 elephants, "
+            f"got {advisors}, {elephants}"
+        )
     by_shared = [0, 0, 0]
     for adv in combinations(_XQ_ADVISOR, advisors):
         for ele in combinations(_XQ_ELEPHANT, elephants):
@@ -46,7 +51,7 @@ def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
             for king in _XQ_PALACE:
                 if king not in occupied:
                     by_shared[shared] += 1
-    return CampClassRow(advisors, elephants, tuple(by_shared))
+    return CampClassRow(tuple(by_shared))
 
 
 def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
@@ -55,6 +60,11 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
     ``shared_sites_blocked`` of the two elephant/soldier shared sites are
     unavailable.  Domain <= 2^10.
     """
+    if not 0 <= shared_sites_blocked <= len(_XQ_SHARED):
+        raise OracleBoundError(
+            f"enum_soldiers_xq blocks 0..{len(_XQ_SHARED)} shared sites, "
+            f"got {shared_sites_blocked}"
+        )
     blocked = sorted(_XQ_SHARED)[:shared_sites_blocked]
     available = [s for s in _XQ_SOLDIER if s not in blocked]
     count = 0
@@ -198,6 +208,12 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     if variant == "janggi":
         return _enum_positions_jg(max_light_pieces)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+@lru_cache(maxsize=None)
+def positions_small(variant: str) -> dict[int, int]:
+    """``enum_positions_small`` at its bound, run once per process."""
+    return enum_positions_small(variant, POSITIONS_MAX_LIGHT_PIECES)
 
 
 def _enum_positions_xq(max_total: int) -> dict[int, int]:

@@ -8,7 +8,7 @@ Verdicts:
 * ``paper-typo-confirmed`` — the values differ, and the evidence shows the
   printed value is the erroneous one: either the direct oracle equals the
   recomputation, or every input of the recomputation is oracle-verified in
-  the same run while the printed value is irreproducible from the source's
+  the same process while the printed value is irreproducible from the source's
   own (verified) components.
 * ``mismatch`` — the values differ and the evidence does not clear the
   recomputation; this indicts the build, not the source, and fails the run.
@@ -19,18 +19,17 @@ pass, 1 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 
 from . import janggi, oracle, xiangqi
 from .combinatorics import binom, pair_fill_count
-from .fixtures import ReferenceFixture, fixtures_for_scope
+from .fixtures import FAMILIES, ReferenceFixture, fixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
 MATCH = "match"
 TYPO = "paper-typo-confirmed"
 MISMATCH = "mismatch"
-
-# largest m**n a verify run spends on one pair-fill oracle call
-_PAIR_FILL_ORACLE_BUDGET = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -65,156 +64,44 @@ class VerifyResult:
 
 def compute_quantity(quantity_id: str) -> int:
     """Recompute the value a fixture id refers to."""
-    head, _, rest = quantity_id.partition(".")
-    kind, _, arg = rest.partition(".")
-    if head == "xq":
-        if kind == "table1":
-            cell, _, column = arg.partition(".")
-            a, e = map(int, cell.split(","))
-            return _camp_column(xiangqi.camp_classes(a, e), column)
-        if kind == "table2":
-            pieces, _, column = arg.partition(".")
-            return _camp_column(xiangqi.camp_by_piece_count(int(pieces)), column)
-        if kind == "table3":
-            blank, s = map(int, arg.split(","))
-            return xiangqi.soldier_own_side(blank, s)
-        if kind == "table4":
-            n, s = map(int, arg.split(","))
-            return xiangqi.side_exact(n, s)
-        if kind == "table5":
-            n, k = map(int, arg.split(","))
-            return xiangqi.side_reserve(n, k)
-        if kind == "klist":
-            return xiangqi.xq_positions(int(arg))
-        if kind == "dlist":
-            return pair_fill_count(6, int(arg))
-        if kind == "total":
-            return xiangqi.xq_grand_total()
-    if head == "jg":
-        if kind == "palace":
-            return janggi.jg_palace_arrangements(int(arg))
-        if kind == "table6":
-            n, k = map(int, arg.split(","))
-            return janggi.jg_home_count(n, k)
-        if kind == "klist":
-            return janggi.jg_positions(int(arg))
-        if kind == "slist":
-            return pair_fill_count(8, int(arg))
-        if kind == "total":
-            return janggi.jg_grand_total()
-    raise ValueError(f"unresolvable quantity id {quantity_id!r}")
+    fx = fixture(quantity_id)
+    return fx.family.compute(*fx.key)
 
 
-def _camp_column(row: xiangqi.CampClassRow, column: str) -> int:
-    if column == "total":
-        return row.total
-    index = {"two5": 2, "one5": 1, "no5": 0}[column]
-    return row.by_shared_elephants[index]
-
-
-def oracle_quantity(quantity_id: str, cache: dict) -> int | None:
+def oracle_quantity(quantity_id: str) -> int | None:
     """Run the matching enumeration oracle, or return None if intractable."""
-    head, _, rest = quantity_id.partition(".")
-    kind, _, arg = rest.partition(".")
-    if head == "xq":
-        if kind in ("table1", "table2"):
-            cell, _, column = arg.partition(".")
-            if kind == "table1":
-                a, e = map(int, cell.split(","))
-                return _camp_column(oracle.enum_camp_xq(a, e), column)
-            rows = [oracle.enum_camp_xq(a, e) for a in range(3) for e in range(3)
-                    if a + e + 1 == int(cell)]
-            summed = tuple(sum(r.by_shared_elephants[i] for r in rows) for i in range(3))
-            return _camp_column(xiangqi.CampClassRow(-1, -1, summed), column)
-        if kind == "table3":
-            blank, s = map(int, arg.split(","))
-            return oracle.enum_soldiers_xq(10 - blank, s)
-        if kind == "table4":
-            n, s = map(int, arg.split(","))
-            return oracle.enum_side_exact_xq(n, s)
-        if kind == "table5":
-            n, k = map(int, arg.split(","))
-            return oracle.enum_side_xq(n, k)
-        if kind == "klist":
-            x = int(arg)
-            if 90 - x <= oracle.POSITIONS_MAX_LIGHT_PIECES:
-                return _positions_small(cache, "xiangqi").get(90 - x, 0)
-            return None
-        if kind == "dlist":
-            return _pair_fill_oracle(6, int(arg))
-    if head == "jg":
-        if kind == "palace":
-            return oracle.enum_home_jg(int(arg) + 1, 5)
-        if kind == "table6":
-            n, k = map(int, arg.split(","))
-            return oracle.enum_home_jg(n, k)
-        if kind == "klist":
-            n = int(arg)
-            if n <= oracle.POSITIONS_MAX_LIGHT_PIECES:
-                return _positions_small(cache, "janggi").get(n, 0)
-            return None
-        if kind == "slist":
-            return _pair_fill_oracle(8, int(arg))
-    return None
+    fx = fixture(quantity_id)
+    return fx.family.oracle(*fx.key) if fx.family.oracle else None
 
 
-def _pair_fill_oracle(m: int, n: int) -> int | None:
-    if m ** max(n, 1) > _PAIR_FILL_ORACLE_BUDGET:
-        return None
-    return oracle.enum_pair_fill(m, n)
+# --- structural evidence, established once per process ------------------
+
+def _family_verified(name: str, keys) -> bool:
+    """The family's oracle equals its closed form at every key."""
+    fam = FAMILIES[name]
+    return all(fam.oracle(*key) == fam.compute(*key) for key in keys)
 
 
-def _positions_small(cache: dict, variant: str) -> dict[int, int]:
-    key = ("positions", variant)
-    if key not in cache:
-        cache[key] = oracle.enum_positions_small(
-            variant, oracle.POSITIONS_MAX_LIGHT_PIECES
-        )
-    return cache[key]
-
-
-# --- structural evidence -------------------------------------------------
-
-def _xq_inputs_verified(cache: dict) -> bool:
+@lru_cache(maxsize=1)
+def _xq_inputs_verified() -> bool:
     """Full half-board grid oracle equality plus the full-board anchors."""
-    key = "xq_inputs"
-    if key not in cache:
-        grid_ok = all(
-            oracle.enum_side_xq(n, k) == xiangqi.side_reserve(n, k)
-            for n in range(35, 45) for k in range(6)
-        )
-        anchors = _positions_small(cache, "xiangqi")
-        anchors_ok = all(
-            anchors.get(t, 0) == xiangqi.xq_positions(90 - t) for t in (2, 3, 4)
-        )
-        cache[key] = grid_ok and anchors_ok
-    return cache[key]
+    return (_family_verified("xq.table5", product(range(35, 45), range(6)))
+            and _family_verified("xq.klist", [(88,), (87,), (86,)]))
 
 
-def _jg_inputs_verified(cache: dict) -> bool:
-    key = "jg_inputs"
-    if key not in cache:
-        grid_ok = all(
-            oracle.enum_home_jg(n, k) == janggi.jg_home_count(n, k)
-            for n in range(1, 9) for k in range(6)
-        )
-        anchors = _positions_small(cache, "janggi")
-        anchors_ok = all(
-            anchors.get(t, 0) == janggi.jg_positions(t) for t in (2, 3, 4)
-        )
-        cache[key] = grid_ok and anchors_ok
-    return cache[key]
+@lru_cache(maxsize=1)
+def _jg_inputs_verified() -> bool:
+    return (_family_verified("jg.table6", product(range(1, 9), range(6)))
+            and _family_verified("jg.klist", [(2,), (3,), (4,)]))
 
 
-def _pair_fill_verified(cache: dict) -> bool:
+@lru_cache(maxsize=1)
+def _pair_fill_verified() -> bool:
     """Closed form equals sequence enumeration over the tractable grid."""
-    key = "pair_fill"
-    if key not in cache:
-        cache[key] = all(
-            oracle.enum_pair_fill(m, n) == pair_fill_count(m, n)
-            for m in range(5) for n in range(9)
-        )
-    return cache[key]
+    return all(
+        oracle.enum_pair_fill(m, n) == pair_fill_count(m, n)
+        for m in range(5) for n in range(9)
+    )
 
 
 def _xq_total_attributed(fixture_values: dict[str, int]) -> bool:
@@ -232,36 +119,36 @@ def _xq_total_attributed(fixture_values: dict[str, int]) -> bool:
     return derived == printed_total
 
 
-def _verdict(fixture: ReferenceFixture, computed: int, oracle_value: int | None,
-             cache: dict, fixture_values: dict[str, int]) -> tuple[str, str]:
+def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int | None,
+             fixture_values: dict[str, int]) -> tuple[str, str]:
     if oracle_value is not None and oracle_value != computed:
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
-    if computed == fixture.paper_value:
+    if computed == fx.paper_value:
         return MATCH, ""
     if oracle_value is not None:
         return TYPO, "enumeration oracle confirms the recomputed value"
-    family = fixture.quantity_id.rsplit(".", 1)[0]
-    if family in ("xq.dlist", "jg.slist"):
-        if _pair_fill_verified(cache):
+    name = fx.family.name
+    if name in ("xq.dlist", "jg.slist"):
+        if _pair_fill_verified():
             return TYPO, ("printed entry inconsistent with the list's own closed form, "
                           "which the oracle verifies on its tractable range")
-    if family == "xq.klist":
-        if _xq_inputs_verified(cache):
+    if name == "xq.klist":
+        if _xq_inputs_verified():
             return TYPO, ("printed value irreproducible from the source's own verified "
                           "half-board grid via its own displayed convolution; "
                           "enumeration confirms the recomputation at 86..88 blanks")
-    if family == "jg.klist":
-        if _jg_inputs_verified(cache):
+    if name == "jg.klist":
+        if _jg_inputs_verified():
             return TYPO, ("printed value irreproducible from the source's own verified "
                           "home-zone grid via its own displayed convolution")
-    if fixture.quantity_id == "xq.total":
-        if (_xq_inputs_verified(cache) and _pair_fill_verified(cache)
+    if name == "xq.total":
+        if (_xq_inputs_verified() and _pair_fill_verified()
                 and _xq_total_attributed(fixture_values)):
             return TYPO, ("printed total equals the printed light-stage list folded "
                           "through the heavy stage, so it inherits that list's "
                           "confirmed errors; recomputation uses the corrected list")
-    if fixture.quantity_id == "jg.total":
-        if _jg_inputs_verified(cache) and _pair_fill_verified(cache):
+    if name == "jg.total":
+        if _jg_inputs_verified() and _pair_fill_verified():
             return TYPO, ("printed total matches no reconstruction from the source's "
                           "own printed components; recomputed via the heavy-stage "
                           "structure verified on the other variant, over "
@@ -280,17 +167,16 @@ def run_verify(scope: str = "all",
     if scope in ("all", "janggi"):
         geometry_checks += validate_geometry("janggi")
 
-    cache: dict = {}
     fixture_values = {f.quantity_id: f.paper_value for f in fixtures}
     rows: list[ReportRow] = []
     breakdowns: dict[str, list[tuple[int, int, int]]] = {}
     for fx in fixtures:
         computed = compute_quantity(fx.quantity_id)
-        oracle_value = oracle_quantity(fx.quantity_id, cache)
-        verdict, note = _verdict(fx, computed, oracle_value, cache, fixture_values)
+        oracle_value = oracle_quantity(fx.quantity_id)
+        verdict, note = _verdict(fx, computed, oracle_value, fixture_values)
         rows.append(ReportRow(
             fx.quantity_id, fx.paper_value, computed, oracle_value,
-            verdict, fx.trust, note,
+            verdict, fx.family.trust, note,
         ))
         if verdict != MATCH and fx.quantity_id in ("xq.total", "jg.total"):
             terms = (xiangqi.grand_total_terms() if fx.quantity_id == "xq.total"

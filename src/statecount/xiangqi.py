@@ -47,13 +47,17 @@ BLANKS_RANGE = range(2 * MIN_SIDE_BLANKS, 2 * MAX_SIDE_BLANKS + 1)  # 70..88
 class CampClassRow:
     """Camp arrangement counts split by elephants on the shared sites."""
 
-    advisors_used: int
-    elephants_used: int
     by_shared_elephants: tuple[int, int, int]  # index = shared-site elephants
 
     @property
     def total(self) -> int:
         return sum(self.by_shared_elephants)
+
+    @property
+    def columns(self) -> tuple[int, int, int, int]:
+        """The printed column order: total, then two, one, no shared-site
+        elephants."""
+        return (self.total, *reversed(self.by_shared_elephants))
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +84,7 @@ def camp_classes(advisors: int, elephants: int) -> CampClassRow:
     for (shared, in_palace), ways in _elephant_subset_classes(elephants).items():
         king_choices = len(PALACE) - advisors - in_palace
         by_shared[shared] += advisor_ways * ways * king_choices
-    return CampClassRow(advisors, elephants, tuple(by_shared))
+    return CampClassRow(tuple(by_shared))
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +97,7 @@ def camp_by_piece_count(pieces_used: int) -> CampClassRow:
                 row = camp_classes(advisors, elephants)
                 for shared in range(3):
                     by_shared[shared] += row.by_shared_elephants[shared]
-    return CampClassRow(-1, -1, tuple(by_shared))
+    return CampClassRow(tuple(by_shared))
 
 
 def soldier_own_side(blank_soldier_sites: int, soldiers: int) -> int:

@@ -125,6 +125,10 @@ class TestUsageErrors:
         ("verify", "--scope", "entirety"),
         ("oracle", "--target", "enum_pair_fill", "8", "12"),
         ("oracle", "--target", "enum_everything"),
+        ("oracle", "--target", "enum_positions_small", "chess", "3"),
+        ("oracle", "--target", "enum_camp_xq", "-1", "0"),
+        ("oracle", "--target", "enum_soldiers_xq", "5", "2"),
+        ("oracle", "--target", "enum_camp_xq", "3", "0"),
     ])
     def test_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,0 +1,33 @@
+"""Byte-for-byte pins on the verify report and every count/table output.
+
+Each digest is the SHA-256 of the exact text, so a changed note, verdict,
+table cell or JSON layout fails here.  Re-record them only for a deliberate
+change of output.
+"""
+import hashlib
+
+from statecount.cli import main
+from statecount.verify import format_report
+
+REPORT_SHA256 = "3f9643b7d7231338f9bd15787b7263976d5844250a1f5a768d0f3d4e731df6ad"
+CLI_SHA256 = "77eb353647b4dca4d3287d6a3114e2c772c8850b4cc20001c96b257c7626fb9f"
+
+CLI_CASES = (
+    [["count", "--variant", v, "--format", f]
+     for v in ("xiangqi", "janggi") for f in ("dec", "json")]
+    + [["table", "--variant", "xiangqi", "--table", t, "--format", f]
+       for t in ("t1", "t2", "t3", "t4", "t5", "klist", "slist", "geometry")
+       for f in ("csv", "json")]
+    + [["table", "--variant", "janggi", "--table", t, "--format", f]
+       for t in ("t6", "klist", "slist", "geometry") for f in ("csv", "json")]
+)
+
+
+def test_report_and_cli_outputs_are_byte_identical(full_verify, capsys):
+    cli = hashlib.sha256()
+    for argv in CLI_CASES:
+        assert main(argv) == 0
+        cli.update(capsys.readouterr().out.encode())
+    report = hashlib.sha256(format_report(full_verify).encode()).hexdigest()
+    assert len(CLI_CASES) == 28
+    assert (report, cli.hexdigest()) == (REPORT_SHA256, CLI_SHA256)
