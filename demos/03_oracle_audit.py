@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Pit every closed form against its brute-force enumeration oracle.
+"""Pit every closed form against its independent oracle.
 
-The oracles place concrete pieces on concrete sites and count; the closed
-forms multiply binomials.  Exact agreement across full domains is the
-package's correctness argument.
+The oracles place concrete pieces on concrete sites and count, either one
+placement at a time or site by site; the closed forms multiply binomials.
+Exact agreement across full domains is the package's correctness argument.
 """
 import time
 
 from statecount.combinatorics import pair_fill_count
-from statecount.janggi import jg_home_count, jg_positions
+from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
 from statecount.oracle import (
+    count_pair_fill,
     enum_camp_xq,
     enum_home_jg,
     enum_pair_fill,
     enum_positions_small,
     enum_side_xq,
+    scan_positions,
+    scan_total,
 )
-from statecount.xiangqi import camp_classes, side_reserve, xq_positions
+from statecount.xiangqi import camp_classes, side_reserve, xq_grand_total, xq_positions
 
 
 def timed(label, fn):
@@ -57,6 +60,20 @@ print(f"  closed form agrees:",
       all(xq[t] == xq_positions(90 - t) for t in xq))
 print(f"  janggi enumerated: {jg}")
 print(f"  closed form agrees:", all(jg[t] == jg_positions(t) for t in jg))
+
+print("== site-scan of the whole light stage and both grand totals ==")
+timed("xiangqi scan vs closed form (70..88 blanks, total)", lambda: (
+    scan_positions("xiangqi") == {90 - x: xq_positions(x) for x in range(70, 89)}
+    and scan_total("xiangqi") == xq_grand_total()
+))
+timed("janggi scan vs closed form (2..16 pieces, total)", lambda: (
+    scan_positions("janggi") == {n: jg_positions(n) for n in range(2, 17)}
+    and scan_total("janggi") == jg_grand_total()
+))
+timed("pair-fill recurrence vs closed form (m <= 8, n <= 16)", lambda: all(
+    count_pair_fill(m, n) == pair_fill_count(m, n)
+    for m in range(9) for n in range(17)
+))
 
 print("== the two disputed eight-pair entries ==")
 for sites, printed in ((4, 2028), (6, 44520)):

@@ -17,9 +17,8 @@ print(f"exit code: {result.exit_code}")
 print("\nconfirmed print errors:")
 for row in result.rows:
     if row.verdict == TYPO:
-        oracle = f", oracle {row.oracle_value}" if row.oracle_value is not None else ""
         print(f"  {row.quantity_id}: printed {row.paper_value}, "
-              f"recomputed {row.computed_value}{oracle}")
+              f"recomputed {row.computed_value}, oracle {row.oracle_value}")
 
 print("\nterm breakdowns attached for:", ", ".join(sorted(result.breakdowns)))
 xq_terms = result.breakdowns["xq.total"]

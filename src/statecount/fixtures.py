@@ -1,16 +1,7 @@
 """Published reference values audited by the verify command.
 
 Each published table or value list is one ``Family`` record, and each
-printed value one fixture of it, with a trust level carried over from
-source criticism:
-
-* ``verified-consistent`` — the printed value is legible and was judged
-  internally consistent on inspection.
-* ``typo-suspect`` — the printed value comes from a table or list with
-  known printing defects (misaligned columns, garbled entries).
-
-Trust is a prior recorded as data; the verify engine's verdicts are driven
-by recomputation and the enumeration oracles, not by this field.
+printed value one fixture of it.
 """
 from __future__ import annotations
 
@@ -18,9 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import combinatorics, janggi, oracle, xiangqi
-
-VERIFIED = "verified-consistent"
-SUSPECT = "typo-suspect"
 
 # --- Xiangqi camp arrangements (source table 1): (advisors, elephants) ->
 #     (total, two shared-site elephants, one, none)
@@ -145,7 +133,7 @@ JG_KLIST = {
 }
 
 # --- Eight-pair fill counts for the Janggi heavy stage (source list, 0..16).
-# Several entries are garbled in print; the closed form and the enumeration
+# Several entries are garbled in print; the closed form and the pair-fill
 # oracle adjudicate.
 JG_SLIST = [1, 8, 64, 504, 2028, 28560, 44520, 294000, 441840, 6773760,
             6827940, 209933640, 209766060, 5448713760, 5448660840,
@@ -156,7 +144,7 @@ JG_TOTAL = 235103954659801304018684123148785542989018468
 
 # printed column order of tables 1 and 2 (see ``CampClassRow.columns``)
 CAMP_COLUMNS = ("total", "two5", "one5", "no5")
-# largest m**n a verify run spends on one pair-fill oracle call
+# largest m**n a verify run enumerates for one pair-fill oracle call
 _PAIR_FILL_ORACLE_BUDGET = 2_500_000
 
 
@@ -165,9 +153,9 @@ class Family:
     """One published table or list, keyed by index tuples.
 
     ``compute(*key)`` recomputes a value through the closed form;
-    ``oracle(*key)`` enumerates it, or returns None where that is
-    intractable.  Both look the layer functions up when called, so a caller
-    that rebinds a module attribute sees every call.
+    ``oracle(*key)`` counts it without the closed forms.
+    Both look the layer functions up when called, so a caller that rebinds
+    a module attribute sees every call.
     """
 
     name: str
@@ -176,8 +164,7 @@ class Family:
     source: str
     values: dict[tuple, int]
     compute: Callable[..., int]
-    oracle: Callable[..., int | None] | None = None
-    trust: str = VERIFIED
+    oracle: Callable[..., int]
 
 
 @dataclass(frozen=True)
@@ -209,15 +196,9 @@ def _camp_column(row: xiangqi.CampClassRow, column: str) -> int:
     return row.columns[CAMP_COLUMNS.index(column)]
 
 
-def _positions_oracle(variant: str, light_pieces: int) -> int | None:
-    if light_pieces > oracle.POSITIONS_MAX_LIGHT_PIECES:
-        return None
-    return oracle.positions_small(variant).get(light_pieces, 0)
-
-
-def _pair_fill_oracle(m: int, n: int) -> int | None:
+def _pair_fill_oracle(m: int, n: int) -> int:
     if m ** max(n, 1) > _PAIR_FILL_ORACLE_BUDGET:
-        return None
+        return oracle.count_pair_fill(m, n)
     return oracle.enum_pair_fill(m, n)
 
 
@@ -235,18 +216,19 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda blank, s: oracle.enum_soldiers_xq(10 - blank, s)),
     Family("xq.table4", "{},{}", "xiangqi", "source table 4 (realigned)", TABLE4,
            lambda n, s: xiangqi.side_exact(n, s),
-           lambda n, s: oracle.enum_side_exact_xq(n, s), trust=SUSPECT),
+           lambda n, s: oracle.enum_side_exact_xq(n, s)),
     Family("xq.table5", "{},{}", "xiangqi", "source table 5", TABLE5,
            lambda n, k: xiangqi.side_reserve(n, k),
            lambda n, k: oracle.enum_side_xq(n, k)),
     Family("xq.klist", "{}", "xiangqi", "source light-stage list, by blanks",
            _keyed(XQ_KLIST), lambda x: xiangqi.xq_positions(x),
-           lambda x: _positions_oracle("xiangqi", 90 - x)),
+           lambda x: oracle.scan_positions("xiangqi").get(90 - x, 0)),
     Family("xq.dlist", "{}", "combinatorics", "source six-pair fill list",
            _keyed(XQ_DLIST), lambda y: combinatorics.pair_fill_count(6, y),
            lambda y: _pair_fill_oracle(6, y)),
     Family("xq.total", "", "xiangqi", "source grand total (40 digits)",
-           {(): XQ_TOTAL}, lambda: xiangqi.xq_grand_total()),
+           {(): XQ_TOTAL}, lambda: xiangqi.xq_grand_total(),
+           lambda: oracle.scan_total("xiangqi")),
     Family("jg.palace", "{}", "janggi", "source palace arrangements, by advisors",
            _keyed(JG_PALACE), lambda advisors: janggi.jg_palace_arrangements(advisors),
            lambda advisors: oracle.enum_home_jg(advisors + 1, 5)),
@@ -255,12 +237,13 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda n, k: oracle.enum_home_jg(n, k)),
     Family("jg.klist", "{}", "janggi", "source light-stage list, by pieces",
            _keyed(JG_KLIST), lambda n: janggi.jg_positions(n),
-           lambda n: _positions_oracle("janggi", n)),
+           lambda n: oracle.scan_positions("janggi").get(n, 0)),
     Family("jg.slist", "{}", "combinatorics", "source eight-pair fill list",
            _keyed(JG_SLIST), lambda k: combinatorics.pair_fill_count(8, k),
-           lambda k: _pair_fill_oracle(8, k), trust=SUSPECT),
+           lambda k: _pair_fill_oracle(8, k)),
     Family("jg.total", "", "janggi", "source grand total (45 digits)",
-           {(): JG_TOTAL}, lambda: janggi.jg_grand_total()),
+           {(): JG_TOTAL}, lambda: janggi.jg_grand_total(),
+           lambda: oracle.scan_total("janggi")),
 )}
 
 ALL_FIXTURES: tuple[ReferenceFixture, ...] = tuple(

@@ -1,17 +1,22 @@
-"""Brute-force enumeration oracles.
+"""Enumeration oracles, independent of the closed forms.
 
-Each oracle enumerates concrete placements over the geometry sets with no
-shortcuts beyond zone membership, so its correctness is auditable by eye.
-Oracles never call the closed-form counting paths; agreement between the
-two is the package's core correctness argument.  The budget is seconds to
-minutes, not milliseconds.
+The ``enum_*`` oracles enumerate concrete placements over the geometry sets
+with no shortcuts beyond zone membership, so their correctness is auditable
+by eye; their budget is seconds to minutes, not milliseconds.  Where that is
+intractable, ``scan_positions``/``scan_total`` scan the board site by site
+and ``count_pair_fill`` enumerates which sites each pair takes.  Oracles
+import only the geometry and the ``CampClassRow`` record, never the
+closed-form counting paths; agreement between the two is the package's core
+correctness argument.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
-from .geometry import Site, mirror, zone
+from .geometry import FILES, Site, board_sites, mirror, zone
 from .xiangqi import CampClassRow
 
 _XQ_PALACE = sorted(zone("xiangqi", "A", "palace"))
@@ -30,6 +35,14 @@ POSITIONS_MAX_LIGHT_PIECES = 4
 
 class OracleBoundError(ValueError):
     """Arguments exceed an oracle's tractability bound (caller misuse)."""
+
+
+def _tally(pairs) -> Counter:
+    """Sum the ways of equal keys over (key, ways) pairs."""
+    counts: Counter = Counter()
+    for key, ways in pairs:
+        counts[key] += ways
+    return counts
 
 
 def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
@@ -106,13 +119,9 @@ def _xq_side_placements(max_extra: int | None = None):
 
 
 @lru_cache(maxsize=1)
-def _xq_side_grid() -> dict[tuple[int, int], int]:
+def _xq_side_grid() -> Counter:
     """(blanks, soldiers used) -> placement count over the 45-site half."""
-    grid: dict[tuple[int, int], int] = {}
-    for _, pieces, soldiers in _xq_side_placements():
-        key = (45 - pieces, soldiers)
-        grid[key] = grid.get(key, 0) + 1
-    return grid
+    return _tally(((45 - pieces, soldiers), 1) for _, pieces, soldiers in _xq_side_placements())
 
 
 def enum_side_exact_xq(blanks: int, soldiers: int) -> int:
@@ -210,12 +219,6 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@lru_cache(maxsize=None)
-def positions_small(variant: str) -> dict[int, int]:
-    """``enum_positions_small`` at its bound, run once per process."""
-    return enum_positions_small(variant, POSITIONS_MAX_LIGHT_PIECES)
-
-
 def _enum_positions_xq(max_total: int) -> dict[int, int]:
     a_half = frozenset(Site(f, r) for f in range(1, 10) for r in range(1, 6))
     b_half = frozenset(Site(f, r) for f in range(1, 10) for r in range(6, 11))
@@ -276,3 +279,88 @@ def _enum_positions_jg(max_total: int) -> dict[int, int]:
                                             total = 2 + adv_a_n + adv_b_n + sold_a_n + sold_b_n
                                             counts[total] = counts.get(total, 0) + 1
     return counts
+
+
+# --- site-scan oracle ---------------------------------------------------
+# The transfer-matrix board scan of Tromp & Farnebäck, "Combinatorics of Go"
+# (2007): visit sites one at a time, keeping only per-kind piece counts.  It
+# shares no factorization with the closed forms: no camp classes, no
+# half-board grids, no convolution over blanks.
+
+# heavy pieces as within-pair-identical pairs: chariots, horses, cannons,
+# plus Janggi elephants, two of each per player
+_HEAVY_PAIRS = {"xiangqi": 6, "janggi": 8}
+
+
+def _scan(sites, kinds) -> Counter:
+    """Placements on ``sites``, counted by the number of pieces of each kind.
+
+    Each kind is ``(zone, cap, one_per_file)``: identical pieces that stand
+    only on ``zone``, at most ``cap`` of them, and with ``one_per_file`` at
+    most one on any file.  A state holds each kind's count and whether the
+    current file already holds one of it; that flag resets at each new file.
+    """
+    width = len(kinds)
+    states = Counter({(0,) * 2 * width: 1})
+    for file in FILES:
+        states = _tally((state[:width] + (0,) * width, ways)
+                        for state, ways in states.items())
+        for site in sorted(s for s in sites if s.file == file):
+            following = states.copy()  # the site stays empty
+            for state, ways in states.items():
+                for i, (zone_sites, cap, one_per_file) in enumerate(kinds):
+                    if site in zone_sites and state[i] < cap and not state[width + i]:
+                        placed = list(state)
+                        placed[i] += 1
+                        placed[width + i] = int(one_per_file)
+                        following[tuple(placed)] += ways
+            states = following
+    return _tally((state[:width], ways) for state, ways in states.items())
+
+
+@lru_cache(maxsize=None)
+def _half(variant: str, player: str) -> Counter:
+    """(camp pieces, own soldiers, opposing soldiers) -> placements on the
+    player's half, ranks 1-5 for A and 6-10 for B, with the king placed."""
+    half = frozenset(s for s in board_sites() if (s.rank <= 5) == (player == "A"))
+    camp = [(zone(variant, player, "palace"), 1, False),
+            (zone(variant, player, "advisor_sites"), 2, False)]
+    if variant == "xiangqi":
+        camp.append((zone(variant, player, "elephant_sites"), 2, False))
+        own = (zone(variant, player, "soldier_own_side_sites"), 5, True)
+    else:
+        own = (zone(variant, player, "middle_ranks") & half, 5, False)
+    scan = _scan(half, [*camp, own, (half, 5, False)])
+    return _tally(((king + sum(others), soldiers, opposing), ways)
+                  for (king, *others, soldiers, opposing), ways in scan.items() if king)
+
+
+@lru_cache(maxsize=None)
+def scan_positions(variant: str) -> Counter:
+    """Full-board light-stage placements by piece count, joining the two
+    halves so that each player has at most five soldiers in all."""
+    return _tally((camp_a + home_a + away_b + camp_b + home_b + away_a, ways_a * ways_b)
+                  for (camp_a, home_a, away_b), ways_a in _half(variant, "A").items()
+                  for (camp_b, home_b, away_a), ways_b in _half(variant, "B").items()
+                  if home_a + away_a <= 5 and home_b + away_b <= 5)
+
+
+@lru_cache(maxsize=None)
+def count_pair_fill(m: int, n: int) -> int:
+    """Ways to fill n distinct sites from m pairs of identical pieces: the
+    last pair takes none, one or two of the sites, the other pairs the rest."""
+    if m <= 0 or n < 0:
+        return int(m == n == 0)
+    return (count_pair_fill(m - 1, n) + n * count_pair_fill(m - 1, n - 1)
+            + math.comb(n, 2) * count_pair_fill(m - 1, n - 2))
+
+
+@lru_cache(maxsize=None)
+def scan_total(variant: str) -> int:
+    """The grand total: scanned light-stage placements times the ways to
+    fill y of the remaining sites with heavy pieces."""
+    pairs = _HEAVY_PAIRS[variant]
+    sites = len(board_sites())
+    return sum(ways * math.comb(sites - pieces, y) * count_pair_fill(pairs, y)
+               for pieces, ways in scan_positions(variant).items()
+               for y in range(2 * pairs + 1))

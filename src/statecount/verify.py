@@ -1,17 +1,14 @@
 """Discrepancy adjudication: recomputation vs. published reference values.
 
 Every fixture quantity is recomputed from geometry and the closed-form
-pipeline, and checked by a brute-force oracle wherever one is tractable.
-Verdicts:
+pipeline, and counted again by its family's oracle, which never calls the
+closed forms.  Verdicts:
 
+* ``mismatch`` — the oracle disagrees with the recomputation; this indicts
+  the build, not the source, and fails the run.
 * ``match`` — recomputed value equals the printed value.
-* ``paper-typo-confirmed`` — the values differ, and the evidence shows the
-  printed value is the erroneous one: either the direct oracle equals the
-  recomputation, or every input of the recomputation is oracle-verified in
-  the same process while the printed value is irreproducible from the source's
-  own (verified) components.
-* ``mismatch`` — the values differ and the evidence does not clear the
-  recomputation; this indicts the build, not the source, and fails the run.
+* ``paper-typo-confirmed`` — the values differ, and the oracle agrees with
+  the recomputation, so the printed value is the erroneous one.
 
 The exit contract: 0 when no row is a mismatch and all geometry checks
 pass, 1 otherwise.
@@ -19,12 +16,10 @@ pass, 1 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
 
-from . import janggi, oracle, xiangqi
+from . import janggi, xiangqi
 from .combinatorics import binom, pair_fill_count
-from .fixtures import FAMILIES, ReferenceFixture, fixture, fixtures_for_scope
+from .fixtures import ReferenceFixture, fixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
 MATCH = "match"
@@ -37,9 +32,8 @@ class ReportRow:
     quantity_id: str
     paper_value: int
     computed_value: int
-    oracle_value: int | None
+    oracle_value: int
     verdict: str
-    trust: str
     note: str = ""
 
 
@@ -68,40 +62,10 @@ def compute_quantity(quantity_id: str) -> int:
     return fx.family.compute(*fx.key)
 
 
-def oracle_quantity(quantity_id: str) -> int | None:
-    """Run the matching enumeration oracle, or return None if intractable."""
+def oracle_quantity(quantity_id: str) -> int:
+    """Count the value a fixture id refers to with its family's oracle."""
     fx = fixture(quantity_id)
-    return fx.family.oracle(*fx.key) if fx.family.oracle else None
-
-
-# --- structural evidence, established once per process ------------------
-
-def _family_verified(name: str, keys) -> bool:
-    """The family's oracle equals its closed form at every key."""
-    fam = FAMILIES[name]
-    return all(fam.oracle(*key) == fam.compute(*key) for key in keys)
-
-
-@lru_cache(maxsize=1)
-def _xq_inputs_verified() -> bool:
-    """Full half-board grid oracle equality plus the full-board anchors."""
-    return (_family_verified("xq.table5", product(range(35, 45), range(6)))
-            and _family_verified("xq.klist", [(88,), (87,), (86,)]))
-
-
-@lru_cache(maxsize=1)
-def _jg_inputs_verified() -> bool:
-    return (_family_verified("jg.table6", product(range(1, 9), range(6)))
-            and _family_verified("jg.klist", [(2,), (3,), (4,)]))
-
-
-@lru_cache(maxsize=1)
-def _pair_fill_verified() -> bool:
-    """Closed form equals sequence enumeration over the tractable grid."""
-    return all(
-        oracle.enum_pair_fill(m, n) == pair_fill_count(m, n)
-        for m in range(5) for n in range(9)
-    )
+    return fx.family.oracle(*fx.key)
 
 
 def _xq_total_attributed(fixture_values: dict[str, int]) -> bool:
@@ -119,41 +83,20 @@ def _xq_total_attributed(fixture_values: dict[str, int]) -> bool:
     return derived == printed_total
 
 
-def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int | None,
+def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int,
              fixture_values: dict[str, int]) -> tuple[str, str]:
-    if oracle_value is not None and oracle_value != computed:
+    if oracle_value != computed:
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
     if computed == fx.paper_value:
         return MATCH, ""
-    if oracle_value is not None:
-        return TYPO, "enumeration oracle confirms the recomputed value"
-    name = fx.family.name
-    if name in ("xq.dlist", "jg.slist"):
-        if _pair_fill_verified():
-            return TYPO, ("printed entry inconsistent with the list's own closed form, "
-                          "which the oracle verifies on its tractable range")
-    if name == "xq.klist":
-        if _xq_inputs_verified():
-            return TYPO, ("printed value irreproducible from the source's own verified "
-                          "half-board grid via its own displayed convolution; "
-                          "enumeration confirms the recomputation at 86..88 blanks")
-    if name == "jg.klist":
-        if _jg_inputs_verified():
-            return TYPO, ("printed value irreproducible from the source's own verified "
-                          "home-zone grid via its own displayed convolution")
-    if name == "xq.total":
-        if (_xq_inputs_verified() and _pair_fill_verified()
-                and _xq_total_attributed(fixture_values)):
-            return TYPO, ("printed total equals the printed light-stage list folded "
-                          "through the heavy stage, so it inherits that list's "
-                          "confirmed errors; recomputation uses the corrected list")
-    if name == "jg.total":
-        if _jg_inputs_verified() and _pair_fill_verified():
-            return TYPO, ("printed total matches no reconstruction from the source's "
-                          "own printed components; recomputed via the heavy-stage "
-                          "structure verified on the other variant, over "
-                          "oracle-verified inputs")
-    return MISMATCH, "no oracle or structural evidence clears the recomputed value"
+    if fx.quantity_id == "xq.total" and _xq_total_attributed(fixture_values):
+        return TYPO, ("printed total equals the printed light-stage list folded "
+                      "through the heavy stage, so it inherits that list's "
+                      "confirmed errors; recomputation uses the corrected list")
+    if fx.quantity_id == "jg.total":
+        return TYPO, ("printed total matches no reconstruction from the source's "
+                      "own printed components")
+    return TYPO, "enumeration oracle confirms the recomputed value"
 
 
 def run_verify(scope: str = "all",
@@ -175,8 +118,7 @@ def run_verify(scope: str = "all",
         oracle_value = oracle_quantity(fx.quantity_id)
         verdict, note = _verdict(fx, computed, oracle_value, fixture_values)
         rows.append(ReportRow(
-            fx.quantity_id, fx.paper_value, computed, oracle_value,
-            verdict, fx.family.trust, note,
+            fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
         ))
         if verdict != MATCH and fx.quantity_id in ("xq.total", "jg.total"):
             terms = (xiangqi.grand_total_terms() if fx.quantity_id == "xq.total"
@@ -196,9 +138,8 @@ def format_report(result: VerifyResult) -> str:
             row.quantity_id,
             f"paper={row.paper_value}",
             f"computed={row.computed_value}",
+            f"oracle={row.oracle_value}",
         ]
-        if row.oracle_value is not None:
-            parts.append(f"oracle={row.oracle_value}")
         if row.note:
             parts.append(f"note: {row.note}")
         lines.append(" ".join(parts))

@@ -9,7 +9,7 @@ import hashlib
 from statecount.cli import main
 from statecount.verify import format_report
 
-REPORT_SHA256 = "3f9643b7d7231338f9bd15787b7263976d5844250a1f5a768d0f3d4e731df6ad"
+REPORT_SHA256 = "a0d48a3225a61e73d5e93424ad62f462f9207fad0783d4a27746dcbd964598bf"
 CLI_SHA256 = "77eb353647b4dca4d3287d6a3114e2c772c8850b4cc20001c96b257c7626fb9f"
 
 CLI_CASES = (

@@ -1,25 +1,33 @@
 """Enumeration oracles vs. the closed-form pipeline, over full domains."""
+import ast
+from pathlib import Path
+
 import pytest
 
+from statecount import oracle
 from statecount.combinatorics import pair_fill_count
-from statecount.janggi import jg_home_count, jg_positions
+from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
 from statecount.oracle import (
     OracleBoundError,
+    count_pair_fill,
     enum_camp_xq,
     enum_home_jg,
     enum_pair_fill,
     enum_positions_small,
     enum_side_xq,
     enum_soldiers_xq,
+    scan_positions,
+    scan_total,
 )
 from statecount.xiangqi import (
     camp_classes,
     side_reserve,
     soldier_own_side,
+    xq_grand_total,
     xq_positions,
 )
 
-from frozen import ENUM_JG_SMALL, ENUM_XQ_SMALL
+from frozen import ENUM_JG_SMALL, ENUM_XQ_SMALL, TRUE_JG_TOTAL, TRUE_XQ_TOTAL
 
 
 class TestCampOracle:
@@ -81,7 +89,10 @@ class TestPairFillOracle:
     def test_small_domain_equality(self):
         for m in range(5):
             for n in range(9):
-                assert enum_pair_fill(m, n) == pair_fill_count(m, n)
+                assert enum_pair_fill(m, n) == pair_fill_count(m, n) == count_pair_fill(m, n)
+        for m in range(9):
+            for n in range(17):
+                assert count_pair_fill(m, n) == pair_fill_count(m, n)
 
     def test_eight_pair_disputed_entries(self):
         assert enum_pair_fill(8, 4) == pair_fill_count(8, 4) == 3864
@@ -97,13 +108,19 @@ class TestPositionsOracle:
         counts = enum_positions_small("xiangqi", 4)
         assert counts == ENUM_XQ_SMALL
         for pieces, count in counts.items():
-            assert count == xq_positions(90 - pieces)
+            assert count == xq_positions(90 - pieces) == scan_positions("xiangqi")[pieces]
+        assert scan_positions("xiangqi") == {90 - x: xq_positions(x) for x in range(70, 89)}
 
     def test_janggi_small(self):
         counts = enum_positions_small("janggi", 4)
         assert counts == ENUM_JG_SMALL
         for pieces, count in counts.items():
-            assert count == jg_positions(pieces)
+            assert count == jg_positions(pieces) == scan_positions("janggi")[pieces]
+        assert scan_positions("janggi") == {n: jg_positions(n) for n in range(2, 17)}
+
+    def test_scan_totals(self):
+        assert scan_total("xiangqi") == xq_grand_total() == TRUE_XQ_TOTAL
+        assert scan_total("janggi") == jg_grand_total() == TRUE_JG_TOTAL
 
     def test_janggi_three_piece_bound(self):
         assert enum_positions_small("janggi", 3) == {2: 81, 3: 11340}
@@ -117,3 +134,18 @@ class TestPositionsOracle:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             enum_positions_small("chess", 3)
+
+
+def test_oracle_imports_only_geometry():
+    """Besides the geometry, oracle.py takes only the CampClassRow record."""
+    taken = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("statecount")):
+            module = (node.module or "").removeprefix("statecount").lstrip(".")
+            taken |= {f"{module}.{a.name}".lstrip(".") for a in node.names}
+        elif isinstance(node, ast.Import):
+            taken |= {a.name.removeprefix("statecount.") for a in node.names
+                      if a.name.startswith("statecount")}
+    assert {name for name in taken if name.split(".")[0] != "geometry"} == {
+        "xiangqi.CampClassRow"}

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from statecount import xiangqi
 from statecount.fixtures import ALL_FIXTURES, fixture, fixtures_for_scope
 from statecount.verify import (
     MATCH,
@@ -41,8 +42,7 @@ class TestFullRun:
 
     def test_oracle_never_contradicts_computed(self, full_verify):
         for row in full_verify.rows:
-            if row.oracle_value is not None:
-                assert row.oracle_value == row.computed_value
+            assert row.oracle_value == row.computed_value
 
     def test_every_fixture_appears_once(self, full_verify):
         ids = [r.quantity_id for r in full_verify.rows]
@@ -100,12 +100,20 @@ class TestBreakdowns:
         assert keys == {(n, y) for n in range(2, 17) for y in range(17)}
 
 
+def _off_by_one_total(monkeypatch):
+    """Break the Xiangqi closed-form total, as a build defect would."""
+    real = xiangqi.xq_grand_total()
+    monkeypatch.setattr(xiangqi, "xq_grand_total", lambda: real + 1)
+
+
 class TestNegativeControls:
-    def test_corrupted_total_fixture_is_a_mismatch(self):
-        corrupted = replace(fixture("xq.total"), paper_value=fixture("xq.total").paper_value + 1)
-        result = run_verify("xiangqi", fixtures=[corrupted])
+    def test_corrupted_total_fixture_is_a_mismatch(self, monkeypatch):
+        # the site-scan oracle still counts the true total
+        _off_by_one_total(monkeypatch)
+        result = run_verify("xiangqi", fixtures=[fixture("xq.total")])
         (row,) = result.rows
         assert row.verdict == MISMATCH
+        assert row.oracle_value == row.computed_value - 1
         assert result.exit_code == 1
 
     def test_corrupted_oracle_backed_fixture_is_confirmed_against_print(self):
@@ -116,9 +124,9 @@ class TestNegativeControls:
         assert row.verdict == TYPO
         assert row.oracle_value == row.computed_value == 40
 
-    def test_report_text_shows_the_mismatch(self):
-        corrupted = replace(fixture("xq.total"), paper_value=123)
-        result = run_verify("xiangqi", fixtures=[corrupted])
+    def test_report_text_shows_the_mismatch(self, monkeypatch):
+        _off_by_one_total(monkeypatch)
+        result = run_verify("xiangqi", fixtures=[fixture("xq.total")])
         text = format_report(result)
         assert "[mismatch] xq.total" in text
         assert "exit 1" in text
