@@ -91,12 +91,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.variant == "xiangqi":
-        total = xiangqi.xq_grand_total()
-        terms = list(xiangqi.grand_total_terms())
-    else:
-        total = janggi.jg_grand_total()
-        terms = list(janggi.grand_total_terms())
+    pipeline = xiangqi if args.variant == "xiangqi" else janggi
+    terms = list(pipeline.grand_total_terms())
+    total = sum(term for *_, term in terms)
     index_name = LISTS[args.variant][0]
     if args.format == "dec":
         print(total)

@@ -1,13 +1,14 @@
-"""Enumeration oracles, independent of the closed forms.
+"""Counting oracles, independent of the closed forms.
 
-The ``enum_*`` oracles enumerate concrete placements over the geometry sets
-with no shortcuts beyond zone membership, so their correctness is auditable
-by eye; their budget is seconds to minutes, not milliseconds.  Where that is
-intractable, ``scan_positions``/``scan_total`` scan the board site by site
-and ``count_pair_fill`` enumerates which sites each pair takes.  Oracles
-import only the geometry and the ``CampClassRow`` record, never the
-closed-form counting paths; agreement between the two is the package's core
-correctness argument.
+``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
+``enum_positions_small`` enumerate concrete placements with no shortcuts
+beyond zone membership, so they are auditable by eye.  The other oracles
+scan the board site by site: the grid oracles ``enum_side_exact_xq``,
+``enum_side_xq`` and ``enum_home_jg`` read one scan of a half or a home
+zone, ``scan_positions``/``scan_total`` join two half scans, and
+``count_pair_fill`` is a recurrence over the pairs.  Oracles import only
+the geometry and the ``CampClassRow`` record, never the closed forms;
+agreement between the two is the package's core correctness argument.
 """
 from __future__ import annotations
 
@@ -118,51 +119,50 @@ def _xq_side_placements(max_extra: int | None = None):
                                 yield occ | set(subset), 1 + advisors + elephants + soldiers, soldiers
 
 
-@lru_cache(maxsize=1)
 def _xq_side_grid() -> Counter:
-    """(blanks, soldiers used) -> placement count over the 45-site half."""
-    return _tally(((45 - pieces, soldiers), 1) for _, pieces, soldiers in _xq_side_placements())
+    """(blanks, soldiers used) -> placements on one player's own half: the
+    half scan with no opposing soldiers."""
+    return Counter({(45 - camp - soldiers, soldiers): ways
+                    for (camp, soldiers, opposing), ways in _half("xiangqi", "A").items()
+                    if not opposing})
 
 
 def enum_side_exact_xq(blanks: int, soldiers: int) -> int:
-    """Half-board joint enumeration: placements with exactly these blanks
-    and own-side soldiers."""
+    """Half-board site scan: placements with exactly these blanks and
+    own-side soldiers."""
     return _xq_side_grid().get((blanks, soldiers), 0)
 
 
 def enum_side_xq(blanks: int, reserve: int) -> int:
-    """Half-board joint enumeration bucketed by blanks and soldier reserve.
+    """Half-board site scan bucketed by blanks and soldier reserve.
 
     Counts placements with the given blank count whose soldier usage leaves
     at least ``reserve`` of the five soldiers unplaced.
     """
+    if not 0 <= reserve <= 5:
+        raise OracleBoundError(f"enum_side_xq takes a reserve of 0..5, got {reserve}")
     grid = _xq_side_grid()
     return sum(grid.get((blanks, s), 0) for s in range(0, 6 - reserve))
 
 
 @lru_cache(maxsize=1)
-def _jg_home_grid() -> dict[tuple[int, int], int]:
-    """(palace pieces, opposing soldiers) -> placement count in one home zone."""
-    grid: dict[tuple[int, int], int] = {}
-    for palace_pieces in (1, 2, 3):
-        for sites in combinations(_JG_PALACE, palace_pieces):
-            for _king in sites:  # which occupied palace site holds the king
-                free = [s for s in _JG_HOME if s not in sites]
-                for soldiers in range(6):
-                    count = 0
-                    for _subset in combinations(free, soldiers):
-                        count += 1
-                    key = (palace_pieces, soldiers)
-                    grid[key] = grid.get(key, 0) + count
-    return grid
+def _jg_home_grid() -> Counter:
+    """(palace pieces, opposing soldiers) -> placements in one home zone:
+    a scan of king, advisors and opposing soldiers, with the king placed."""
+    scan = _scan(_JG_HOME, [(_JG_PALACE, 1, False), (_JG_PALACE, 2, False),
+                            (_JG_HOME, 5, False)])
+    return _tally(((king + advisors, soldiers), ways)
+                  for (king, advisors, soldiers), ways in scan.items() if king)
 
 
 def enum_home_jg(n: int, k: int) -> int:
-    """Joint palace + opposing-soldier enumeration of one Janggi home zone.
+    """Palace + opposing-soldier site scan of one Janggi home zone.
 
     Counts placements of n pieces (own king/advisors plus opposing soldiers)
     leaving at least k of the five opposing soldiers unused.
     """
+    if not 0 <= k <= 5:
+        raise OracleBoundError(f"enum_home_jg takes a reserve of 0..5, got {k}")
     grid = _jg_home_grid()
     return sum(
         count

@@ -96,7 +96,7 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int,
     if fx.quantity_id == "jg.total":
         return TYPO, ("printed total matches no reconstruction from the source's "
                       "own printed components")
-    return TYPO, "enumeration oracle confirms the recomputed value"
+    return TYPO, "the oracle confirms the recomputed value"
 
 
 def run_verify(scope: str = "all",

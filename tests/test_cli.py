@@ -129,6 +129,8 @@ class TestUsageErrors:
         ("oracle", "--target", "enum_camp_xq", "-1", "0"),
         ("oracle", "--target", "enum_soldiers_xq", "5", "2"),
         ("oracle", "--target", "enum_camp_xq", "3", "0"),
+        ("oracle", "--target", "enum_side_xq", "35", "-3"),
+        ("oracle", "--target", "enum_home_jg", "3", "-2"),
     ])
     def test_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

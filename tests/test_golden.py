@@ -9,7 +9,7 @@ import hashlib
 from statecount.cli import main
 from statecount.verify import format_report
 
-REPORT_SHA256 = "a0d48a3225a61e73d5e93424ad62f462f9207fad0783d4a27746dcbd964598bf"
+REPORT_SHA256 = "d1197d34b628a33b6aab66f821f7de18268605bb6531fd2c0355b8ad2c0c0337"
 CLI_SHA256 = "77eb353647b4dca4d3287d6a3114e2c772c8850b4cc20001c96b257c7626fb9f"
 
 CLI_CASES = (

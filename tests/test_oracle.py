@@ -1,5 +1,6 @@
 """Enumeration oracles vs. the closed-form pipeline, over full domains."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from statecount.oracle import (
     enum_home_jg,
     enum_pair_fill,
     enum_positions_small,
+    enum_side_exact_xq,
     enum_side_xq,
     enum_soldiers_xq,
     scan_positions,
@@ -63,6 +65,11 @@ class TestSideOracle:
         assert enum_side_xq(35, 1) == 0
 
     def test_full_domain_equality(self):
+        # the joint placement enumeration checks the scan behind tables 4 and 5
+        placements = Counter((45 - pieces, soldiers)
+                             for _, pieces, soldiers in oracle._xq_side_placements())
+        assert placements == Counter({(blanks, soldiers): enum_side_exact_xq(blanks, soldiers)
+                                      for blanks in range(35, 45) for soldiers in range(6)})
         for blanks in range(35, 45):
             for reserve in range(6):
                 assert enum_side_xq(blanks, reserve) == side_reserve(blanks, reserve)
