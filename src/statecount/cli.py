@@ -2,12 +2,13 @@
 
 Subcommands: ``count`` (grand totals), ``table`` (recomputed tables as
 CSV/JSON), ``verify`` (the discrepancy report), ``oracle`` (run one
-enumeration oracle).  Exit codes: 0 success, 1 verification mismatch,
+oracle of ``ORACLES``).  Exit codes: 0 success, 1 verification mismatch,
 2 usage error.  All JSON counts are decimal strings, never floats.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -37,14 +38,29 @@ GRIDS = {
     "t6": ("jg.table6", "pieces", range(1, 9), "reserve_", range(6), True),
 }
 CAMP_HEADERS = ["total", "two_shared", "one_shared", "no_shared"]
-ORACLE_TARGETS = (
-    "enum_camp_xq",
-    "enum_soldiers_xq",
-    "enum_side_xq",
-    "enum_home_jg",
-    "enum_pair_fill",
-    "enum_positions_small",
-)
+VARIANTS = ("xiangqi", "janggi")
+
+
+def _by_pieces_text(counts) -> str:
+    return " ".join(f"{t}:{counts[t]}" for t in sorted(counts))
+
+
+# target -> (oracle, one domain per parameter, how the result prints); a domain is
+# a range or a tuple of names, and the ranges index the published tables checked
+ORACLES = {
+    "enum_camp_xq": (oracle.enum_camp_xq, (range(3), range(3)), lambda row: " ".join(
+        f"{h}={v}" for h, v in zip(CAMP_HEADERS, row.columns))),
+    "enum_soldiers_xq": (oracle.enum_soldiers_xq, (range(3), range(6)), str),
+    "enum_side_exact_xq": (oracle.enum_side_exact_xq, (range(35, 45), range(6)), str),
+    "enum_side_xq": (oracle.enum_side_xq, (range(35, 45), range(6)), str),
+    "enum_home_jg": (oracle.enum_home_jg, (range(1, 9), range(6)), str),
+    "enum_pair_fill": (oracle.enum_pair_fill, (range(9), range(17)), str),
+    "count_pair_fill": (oracle.count_pair_fill, (range(9), range(17)), str),
+    "enum_positions_small": (oracle.enum_positions_small, (
+        VARIANTS, range(2, oracle.POSITIONS_MAX_LIGHT_PIECES + 1)), _by_pieces_text),
+    "scan_positions": (oracle.scan_positions, (VARIANTS,), _by_pieces_text),
+    "scan_total": (oracle.scan_total, (VARIANTS,), str),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print a grand total")
-    p_count.add_argument("--variant", required=True, choices=("xiangqi", "janggi"))
+    p_count.add_argument("--variant", required=True, choices=VARIANTS)
     p_count.add_argument("--format", default="dec", choices=("dec", "json"))
 
     p_table = sub.add_parser("table", help="emit a recomputed table")
-    p_table.add_argument("--variant", required=True, choices=("xiangqi", "janggi"))
+    p_table.add_argument("--variant", required=True, choices=VARIANTS)
     p_table.add_argument("--table", required=True, choices=TABLE_IDS)
     p_table.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -69,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", default="all", choices=("all", "xiangqi", "janggi", "combinatorics")
     )
 
-    p_oracle = sub.add_parser("oracle", help="run one enumeration oracle")
-    p_oracle.add_argument("--target", required=True, choices=ORACLE_TARGETS)
+    p_oracle = sub.add_parser("oracle", help="run one oracle")
+    p_oracle.add_argument("--target", required=True, choices=ORACLES)
     p_oracle.add_argument("params", nargs="*", help="oracle arguments")
     return parser
 
@@ -199,28 +215,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    params: list = []
-    for raw in args.params:
-        try:
-            params.append(int(raw))
-        except ValueError:
-            params.append(raw)
+    function, domains, render = ORACLES[args.target]
+    names = list(inspect.signature(function).parameters)
+    if len(args.params) != len(domains):
+        parser.error(f"oracle {args.target} takes ({', '.join(names)})")
+    params = []
+    for name, domain, raw in zip(names, domains, args.params):
+        accepted = {str(value): value for value in domain}
+        if raw not in accepted:
+            shown = f"{domain[0]}..{domain[-1]}" if isinstance(domain, range) else "|".join(domain)
+            parser.error(f"oracle {args.target}: {name} must be in {shown}, got {raw!r}")
+        params.append(accepted[raw])
     started = time.perf_counter()
     try:
-        result = getattr(oracle, args.target)(*params)
-    except ValueError as exc:  # OracleBoundError included
+        output = render(function(*params))
+    except oracle.OracleBoundError as exc:
         parser.error(str(exc))
-    except TypeError as exc:
-        parser.error(f"bad oracle arguments: {exc}")
-    if args.target == "enum_camp_xq":
-        output = " ".join(f"{h}={v}" for h, v in zip(CAMP_HEADERS, result.columns))
-    elif args.target == "enum_positions_small":
-        output = " ".join(f"{t}:{result[t]}" for t in sorted(result))
-    else:
-        output = str(result)
-    elapsed = time.perf_counter() - started
-    print(output)
-    print(f"wall_time_s={elapsed:.3f}")
+    print(f"{output}\nwall_time_s={time.perf_counter() - started:.3f}")
     return 0
 
 

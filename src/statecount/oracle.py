@@ -9,6 +9,8 @@ zone, ``scan_positions``/``scan_total`` join two half scans, and
 ``count_pair_fill`` is a recurrence over the pairs.  Oracles import only
 the geometry and the ``CampClassRow`` record, never the closed forms;
 agreement between the two is the package's core correctness argument.
+Parameter domains live in ``cli.ORACLES``; the functions keep only their
+tractability bounds (``OracleBoundError``).
 """
 from __future__ import annotations
 
@@ -52,11 +54,6 @@ def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
     Advisors and elephants are identical within their type, so subsets of
     sites (not sequences) are enumerated.  Domain <= C(5,2)*C(7,2)*9.
     """
-    if not (0 <= advisors <= 2 and 0 <= elephants <= 2):
-        raise OracleBoundError(
-            f"enum_camp_xq takes 0..2 advisors and 0..2 elephants, "
-            f"got {advisors}, {elephants}"
-        )
     by_shared = [0, 0, 0]
     for adv in combinations(_XQ_ADVISOR, advisors):
         for ele in combinations(_XQ_ELEPHANT, elephants):
@@ -74,11 +71,6 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
     ``shared_sites_blocked`` of the two elephant/soldier shared sites are
     unavailable.  Domain <= 2^10.
     """
-    if not 0 <= shared_sites_blocked <= len(_XQ_SHARED):
-        raise OracleBoundError(
-            f"enum_soldiers_xq blocks 0..{len(_XQ_SHARED)} shared sites, "
-            f"got {shared_sites_blocked}"
-        )
     blocked = sorted(_XQ_SHARED)[:shared_sites_blocked]
     available = [s for s in _XQ_SOLDIER if s not in blocked]
     count = 0
@@ -139,8 +131,6 @@ def enum_side_xq(blanks: int, reserve: int) -> int:
     Counts placements with the given blank count whose soldier usage leaves
     at least ``reserve`` of the five soldiers unplaced.
     """
-    if not 0 <= reserve <= 5:
-        raise OracleBoundError(f"enum_side_xq takes a reserve of 0..5, got {reserve}")
     grid = _xq_side_grid()
     return sum(grid.get((blanks, s), 0) for s in range(0, 6 - reserve))
 
@@ -161,8 +151,6 @@ def enum_home_jg(n: int, k: int) -> int:
     Counts placements of n pieces (own king/advisors plus opposing soldiers)
     leaving at least k of the five opposing soldiers unused.
     """
-    if not 0 <= k <= 5:
-        raise OracleBoundError(f"enum_home_jg takes a reserve of 0..5, got {k}")
     grid = _jg_home_grid()
     return sum(
         count

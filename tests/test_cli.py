@@ -1,9 +1,12 @@
 """CLI surface: formats, exit codes, determinism."""
+import inspect
 import json
+import types
 
 import pytest
 
-from statecount.cli import main
+from statecount import fixtures, oracle
+from statecount.cli import ORACLES, main
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
 
@@ -131,11 +134,62 @@ class TestUsageErrors:
         ("oracle", "--target", "enum_camp_xq", "3", "0"),
         ("oracle", "--target", "enum_side_xq", "35", "-3"),
         ("oracle", "--target", "enum_home_jg", "3", "-2"),
+        ("oracle", "--target", "enum_pair_fill", "-1", "3"),
+        ("oracle", "--target", "enum_pair_fill", "3", "-1"),
+        ("oracle", "--target", "enum_soldiers_xq", "0", "7"),
     ])
     def test_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
+
+    def test_domain_error_names_target_and_parameter(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["oracle", "--target", "enum_soldiers_xq", "0", "-1"])
+        assert "oracle enum_soldiers_xq: soldiers must be in 0..5" in capsys.readouterr().err
+
+
+def _domain_cases():
+    """Per ORACLES row: the first in-domain argument tuple (exit 0), each
+    range parameter just outside its range, each variant parameter set to
+    chess, and one argument too few and too many (exit 2)."""
+    for target, (_, domains, _) in ORACLES.items():
+        first = [str(domain[0]) for domain in domains]
+        cases = [(first, 0), (first[:-1], 2), (first + first[:1], 2)]
+        for i, domain in enumerate(domains):
+            outside = ((domain.start - 1, domain.stop) if isinstance(domain, range)
+                       else ("chess",))
+            cases += [(first[:i] + [str(value)] + first[i + 1:], 2) for value in outside]
+        for params, code in cases:
+            yield pytest.param(target, params, code, id=" ".join([target, *params]))
+
+
+@pytest.mark.parametrize("target,params,code", _domain_cases())
+def test_oracle_domains(capsys, target, params, code):
+    """Every exit is 0 or a usage error naming the target, never a traceback."""
+    argv = ["oracle", "--target", target, *params]
+    if code == 0:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"oracle {target}" in capsys.readouterr().err
+
+
+def _called_oracles(code: types.CodeType) -> set[str]:
+    """Oracle functions a fixtures callable names, in its own body, in the
+    generators nested in it, or in the fixtures helpers it calls."""
+    called = set()
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            called |= _called_oracles(const)
+    for name in code.co_names:
+        if inspect.isfunction(getattr(fixtures, name, None)):
+            called |= _called_oracles(getattr(fixtures, name).__code__)
+        elif getattr(getattr(oracle, name, None), "__module__", None) == oracle.__name__:
+            called.add(name)
+    return called
 
 
 class TestOracleCommand:
@@ -157,3 +211,20 @@ class TestOracleCommand:
         code, out = run_cli(capsys, "oracle", "--target", "enum_pair_fill", "4", "8")
         assert code == 0
         assert out.splitlines()[0] == "2520"
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("scan_total", "xiangqi"), str(TRUE_XQ_TOTAL)),
+        (("count_pair_fill", "8", "4"), "3864"),
+        (("scan_positions", "janggi"), "2:81"),
+    ], ids=["scan_total", "count_pair_fill", "scan_positions"])
+    def test_verify_oracles(self, capsys, argv, expected):
+        code, out = run_cli(capsys, "oracle", "--target", *argv)
+        assert code == 0
+        assert expected in out.splitlines()[0].split()
+
+    def test_every_verify_oracle_is_a_target(self):
+        called = set().union(*(_called_oracles(fam.oracle.__code__)
+                               for fam in fixtures.FAMILIES.values()))
+        # the walk reaches generator bodies (table 2) and helpers (pair fill)
+        assert {"enum_camp_xq", "enum_pair_fill", "count_pair_fill", "scan_total"} <= called
+        assert called <= set(ORACLES)
