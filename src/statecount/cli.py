@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import janggi, oracle, verify, xiangqi
 from .fixtures import FAMILIES
-from .geometry import zone, zone_names
+from .geometry import VARIANTS, zone, zone_names
 
 TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "klist", "slist", "geometry")
 TABLES_BY_VARIANT = {
@@ -28,17 +28,21 @@ LISTS = {
     "xiangqi": ("blanks", "xq.klist", "xq.dlist"),
     "janggi": ("pieces", "jg.klist", "jg.slist"),
 }
+# index ranges of the published grids: blanks on one Xiangqi half, soldiers
+# used or held in reserve, pieces in one Janggi home zone
+SIDE_BLANKS = range(xiangqi.MIN_SIDE_BLANKS, xiangqi.MAX_SIDE_BLANKS + 1)
+SOLDIERS = range(xiangqi.MAX_SOLDIERS + 1)
+HOME_PIECES = range(1, janggi.MAX_HOME_PIECES + 1)
 # t3-t6 print one family as a grid: family, row header, row indices, column
 # header prefix, column indices, and whether a key is (row, column) rather
 # than (column, row)
 GRIDS = {
-    "t3": ("xq.table3", "soldiers", range(6), "blank_", (10, 9, 8), False),
-    "t4": ("xq.table4", "soldiers", range(6), "blanks_", range(35, 45), False),
-    "t5": ("xq.table5", "reserve", range(6), "blanks_", range(35, 45), False),
-    "t6": ("jg.table6", "pieces", range(1, 9), "reserve_", range(6), True),
+    "t3": ("xq.table3", "soldiers", SOLDIERS, "blank_", (10, 9, 8), False),
+    "t4": ("xq.table4", "soldiers", SOLDIERS, "blanks_", SIDE_BLANKS, False),
+    "t5": ("xq.table5", "reserve", SOLDIERS, "blanks_", SIDE_BLANKS, False),
+    "t6": ("jg.table6", "pieces", HOME_PIECES, "reserve_", SOLDIERS, True),
 }
 CAMP_HEADERS = ["total", "two_shared", "one_shared", "no_shared"]
-VARIANTS = ("xiangqi", "janggi")
 
 
 def _by_pieces_text(counts) -> str:
@@ -50,10 +54,10 @@ def _by_pieces_text(counts) -> str:
 ORACLES = {
     "enum_camp_xq": (oracle.enum_camp_xq, (range(3), range(3)), lambda row: " ".join(
         f"{h}={v}" for h, v in zip(CAMP_HEADERS, row.columns))),
-    "enum_soldiers_xq": (oracle.enum_soldiers_xq, (range(3), range(6)), str),
-    "enum_side_exact_xq": (oracle.enum_side_exact_xq, (range(35, 45), range(6)), str),
-    "enum_side_xq": (oracle.enum_side_xq, (range(35, 45), range(6)), str),
-    "enum_home_jg": (oracle.enum_home_jg, (range(1, 9), range(6)), str),
+    "enum_soldiers_xq": (oracle.enum_soldiers_xq, (range(3), SOLDIERS), str),
+    "enum_side_exact_xq": (oracle.enum_side_exact_xq, (SIDE_BLANKS, SOLDIERS), str),
+    "enum_side_xq": (oracle.enum_side_xq, (SIDE_BLANKS, SOLDIERS), str),
+    "enum_home_jg": (oracle.enum_home_jg, (HOME_PIECES, SOLDIERS), str),
     "enum_pair_fill": (oracle.enum_pair_fill, (range(9), range(17)), str),
     "count_pair_fill": (oracle.count_pair_fill, (range(9), range(17)), str),
     "enum_positions_small": (oracle.enum_positions_small, (

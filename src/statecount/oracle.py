@@ -1,16 +1,21 @@
 """Counting oracles, independent of the closed forms.
 
-``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
-``enum_positions_small`` enumerate concrete placements with no shortcuts
-beyond zone membership, so they are auditable by eye.  The other oracles
-scan the board site by site: the grid oracles ``enum_side_exact_xq``,
+Two tiers of oracles count every published value again.  The brute-force
+tier, ``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
+``enum_positions_small``, enumerates concrete placements with no shortcuts
+beyond zone membership, so it is auditable by eye.  All but the pair fill
+walk ``_subsets``, the subsets of a zone's free sites up to a size bound:
+``_camps`` walks a king with its advisors and elephants, and
+``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The site-scan tier
+visits the board site by site: the grid oracles ``enum_side_exact_xq``,
 ``enum_side_xq`` and ``enum_home_jg`` read one scan of a half or a home
 zone, ``scan_positions``/``scan_total`` join two half scans, and
-``count_pair_fill`` is a recurrence over the pairs.  Oracles import only
-the geometry and the ``CampClassRow`` record, never the closed forms;
-agreement between the two is the package's core correctness argument.
-Parameter domains live in ``cli.ORACLES``; the functions keep only their
-tractability bounds (``OracleBoundError``).
+``count_pair_fill`` is a recurrence over the pairs.  The brute-force tier
+calls nothing of the scan tier, so the two check each other.  Oracles
+import only the geometry and the ``CampClassRow`` record, never the closed
+forms; agreement between the two is the package's core correctness
+argument.  Parameter domains live in ``cli.ORACLES``; the functions keep
+only their tractability bounds (``OracleBoundError``).
 """
 from __future__ import annotations
 
@@ -19,12 +24,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
-from .geometry import FILES, Site, board_sites, mirror, zone
+from .geometry import FILES, board_sites, mirror, zone
 from .xiangqi import CampClassRow
 
-_XQ_PALACE = sorted(zone("xiangqi", "A", "palace"))
-_XQ_ADVISOR = sorted(zone("xiangqi", "A", "advisor_sites"))
-_XQ_ELEPHANT = sorted(zone("xiangqi", "A", "elephant_sites"))
 _XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
     "xiangqi", "A", "soldier_own_side_sites"
@@ -48,21 +50,54 @@ def _tally(pairs) -> Counter:
     return counts
 
 
+def _subsets(sites, taken, most: int):
+    """Subsets of the sites not in ``taken``, smallest first, of at most
+    ``most`` sites."""
+    if most >= 0:
+        yield ()
+    if most > 0:  # most calls ask for the empty subset alone
+        free = [s for s in sites if s not in taken]
+        for size in range(1, most + 1):
+            yield from combinations(free, size)
+
+
+def _camps(variant: str, player: str, most: int):
+    """Yield (advisor sites, elephant sites, occupied sites) for each camp: a
+    king in the palace with at most two advisors and, in Xiangqi, two
+    elephants, at most ``most`` pieces besides the king."""
+    palace = zone(variant, player, "palace")
+    advisor_sites = zone(variant, player, "advisor_sites")
+    elephant_sites = zone(variant, player, "elephant_sites") if variant == "xiangqi" else ()
+    for advisors in _subsets(advisor_sites, (), min(2, most)):
+        for elephants in _subsets(elephant_sites, (), min(2, most - len(advisors))):
+            camp = advisors + elephants
+            for king in palace:
+                if king not in camp:
+                    yield advisors, elephants, frozenset((king, *camp))
+
+
+def _xq_soldiers(taken, most: int):
+    """Own-half soldier subsets avoiding ``taken``, at most one per file."""
+    return (subset for subset in _subsets(_XQ_SOLDIER, taken, most)
+            if len({s.file for s in subset}) == len(subset))
+
+
+@lru_cache(maxsize=1)
+def _xq_camp_classes() -> Counter:
+    """(advisors, elephants, elephants on the two sites shared with soldiers)
+    -> camps."""
+    return Counter((len(adv), len(ele), len(_XQ_SHARED.intersection(ele)))
+                   for adv, ele, _ in _camps("xiangqi", "A", 4))
+
+
 def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
     """Exhaust all king/advisor/elephant camp placements.
 
     Advisors and elephants are identical within their type, so subsets of
     sites (not sequences) are enumerated.  Domain <= C(5,2)*C(7,2)*9.
     """
-    by_shared = [0, 0, 0]
-    for adv in combinations(_XQ_ADVISOR, advisors):
-        for ele in combinations(_XQ_ELEPHANT, elephants):
-            occupied = set(adv) | set(ele)
-            shared = len(set(ele) & _XQ_SHARED)
-            for king in _XQ_PALACE:
-                if king not in occupied:
-                    by_shared[shared] += 1
-    return CampClassRow(tuple(by_shared))
+    classes = _xq_camp_classes()
+    return CampClassRow(tuple(classes[advisors, elephants, shared] for shared in range(3)))
 
 
 def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
@@ -72,43 +107,16 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
     unavailable.  Domain <= 2^10.
     """
     blocked = sorted(_XQ_SHARED)[:shared_sites_blocked]
-    available = [s for s in _XQ_SOLDIER if s not in blocked]
-    count = 0
-    for subset in combinations(available, soldiers):
-        files = [s.file for s in subset]
-        if len(set(files)) == len(files):
-            count += 1
-    return count
+    return sum(len(subset) == soldiers for subset in _xq_soldiers(blocked, soldiers))
 
 
-def _xq_side_placements(max_extra: int | None = None):
-    """Yield (occupied frozenset, pieces, soldiers) for one player's own half.
-
-    Joint enumeration of king, advisor subsets, elephant subsets, and
-    soldier subsets (one per file, shared sites excluded when an elephant
-    stands there).
-    """
-    for advisors in range(3):
-        for adv in combinations(_XQ_ADVISOR, advisors):
-            for elephants in range(3):
-                if max_extra is not None and advisors + elephants > max_extra:
-                    continue
-                for ele in combinations(_XQ_ELEPHANT, elephants):
-                    occ_ae = set(adv) | set(ele)
-                    for king in _XQ_PALACE:
-                        if king in occ_ae:
-                            continue
-                        occ = occ_ae | {king}
-                        available = [s for s in _XQ_SOLDIER if s not in occ]
-                        max_soldiers = 5
-                        if max_extra is not None:
-                            max_soldiers = min(5, max_extra - advisors - elephants)
-                        for soldiers in range(max_soldiers + 1):
-                            for subset in combinations(available, soldiers):
-                                files = [s.file for s in subset]
-                                if len(set(files)) != len(files):
-                                    continue
-                                yield occ | set(subset), 1 + advisors + elephants + soldiers, soldiers
+def _xq_side_placements(max_extra: int):
+    """Yield (occupied sites, pieces, soldiers) for one player's own half: a
+    camp and one-per-file soldiers, at most ``max_extra`` pieces besides the
+    king."""
+    for _, _, camp in _camps("xiangqi", "A", max_extra):
+        for soldiers in _xq_soldiers(camp, min(5, max_extra + 1 - len(camp))):
+            yield camp.union(soldiers), len(camp) + len(soldiers), len(soldiers)
 
 
 def _xq_side_grid() -> Counter:
@@ -181,10 +189,6 @@ def enum_pair_fill(m: int, n: int) -> int:
     return count
 
 
-def _mirror_all(sites) -> list[Site]:
-    return sorted(mirror(s) for s in sites)
-
-
 def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     """Directly enumerate full-board light-piece placements, by piece count.
 
@@ -207,65 +211,38 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _enum_positions_xq(max_total: int) -> dict[int, int]:
-    a_half = frozenset(Site(f, r) for f in range(1, 10) for r in range(1, 6))
-    b_half = frozenset(Site(f, r) for f in range(1, 10) for r in range(6, 11))
-    a_sides = list(_xq_side_placements(max_extra=max_total - 2))
-    b_sides = [
-        (frozenset(mirror(s) for s in occ), pieces, soldiers)
-        for occ, pieces, soldiers in a_sides
-    ]
-    counts: dict[int, int] = {}
-    for occ_a, pieces_a, soldiers_a in a_sides:
-        for occ_b, pieces_b, soldiers_b in b_sides:
-            base = pieces_a + pieces_b
-            if base > max_total:
-                continue
-            blanks_b = sorted(b_half - occ_b)
-            blanks_a = sorted(a_half - occ_a)
-            room = max_total - base
-            for crossed_a in range(min(5 - soldiers_a, room) + 1):
-                for sub_a in combinations(blanks_b, crossed_a):
-                    for crossed_b in range(min(5 - soldiers_b, room - crossed_a) + 1):
-                        for sub_b in combinations(blanks_a, crossed_b):
-                            total = base + crossed_a + crossed_b
-                            counts[total] = counts.get(total, 0) + 1
+def _enum_positions_xq(max_total: int) -> Counter:
+    """Both players' own-half placements, B's mirrored onto ranks 6-10, then
+    each player's river-crossed soldiers on the free sites of the other
+    half."""
+    a_half = [s for s in board_sites() if s.rank <= 5]
+    b_half = [mirror(s) for s in a_half]
+    counts: Counter = Counter()
+    for occ_a, pieces_a, soldiers_a in _xq_side_placements(max_total - 2):
+        for occ_b, pieces_b, soldiers_b in _xq_side_placements(max_total - 1 - pieces_a):
+            room = max_total - pieces_a - pieces_b
+            for crossed_a in _subsets(b_half, set(map(mirror, occ_b)), min(5 - soldiers_a, room)):
+                for crossed_b in _subsets(a_half, occ_a,
+                                          min(5 - soldiers_b, room - len(crossed_a))):
+                    counts[pieces_a + pieces_b + len(crossed_a) + len(crossed_b)] += 1
     return counts
 
 
-def _enum_positions_jg(max_total: int) -> dict[int, int]:
-    a_palace = _JG_PALACE
-    b_palace = _mirror_all(_JG_PALACE)
-    middle = [Site(f, r) for f in range(1, 10) for r in (4, 5, 6, 7)]
-    a_soldier_zone = sorted(set(middle) | set(_mirror_all(_JG_HOME)))
-    b_soldier_zone = sorted(set(middle) | set(_JG_HOME))
-    counts: dict[int, int] = {}
-    for king_a in a_palace:
-        for king_b in b_palace:
-            occ0 = {king_a, king_b}
-            for adv_a_n in range(3):
-                for adv_a in combinations([s for s in a_palace if s not in occ0], adv_a_n):
-                    occ1 = occ0 | set(adv_a)
-                    for adv_b_n in range(3):
-                        if 2 + adv_a_n + adv_b_n > max_total:
-                            continue
-                        for adv_b in combinations(
-                            [s for s in b_palace if s not in occ1], adv_b_n
-                        ):
-                            occ2 = occ1 | set(adv_b)
-                            room = max_total - 2 - adv_a_n - adv_b_n
-                            for sold_a_n in range(min(5, room) + 1):
-                                for sold_a in combinations(
-                                    [s for s in a_soldier_zone if s not in occ2], sold_a_n
-                                ):
-                                    occ3 = occ2 | set(sold_a)
-                                    for sold_b_n in range(min(5, room - sold_a_n) + 1):
-                                        for _sold_b in combinations(
-                                            [s for s in b_soldier_zone if s not in occ3],
-                                            sold_b_n,
-                                        ):
-                                            total = 2 + adv_a_n + adv_b_n + sold_a_n + sold_b_n
-                                            counts[total] = counts.get(total, 0) + 1
+def _enum_positions_jg(max_total: int) -> Counter:
+    """Both camps, then each player's soldiers on the middle ranks and the
+    opposing home zone."""
+    middle = zone("janggi", "A", "middle_ranks")
+    a_soldier_zone = middle | zone("janggi", "B", "home_zone")
+    b_soldier_zone = middle | zone("janggi", "A", "home_zone")
+    counts: Counter = Counter()
+    for _, _, camp_a in _camps("janggi", "A", max_total - 2):
+        for _, _, camp_b in _camps("janggi", "B", max_total - 1 - len(camp_a)):
+            occupied = camp_a | camp_b
+            room = max_total - len(occupied)
+            for sold_a in _subsets(a_soldier_zone, occupied, min(5, room)):
+                for sold_b in _subsets(b_soldier_zone, occupied.union(sold_a),
+                                       min(5, room - len(sold_a))):
+                    counts[len(occupied) + len(sold_a) + len(sold_b)] += 1
     return counts
 
 

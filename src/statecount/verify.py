@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import janggi, xiangqi
 from .combinatorics import binom, pair_fill_count
-from .fixtures import ReferenceFixture, fixture, fixtures_for_scope
+from .fixtures import FAMILIES, ReferenceFixture, fixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
 MATCH = "match"
@@ -68,28 +68,24 @@ def oracle_quantity(quantity_id: str) -> int:
     return fx.family.oracle(*fx.key)
 
 
-def _xq_total_attributed(fixture_values: dict[str, int]) -> bool:
+def _xq_total_attributed(printed_total: int) -> bool:
     """Does the printed grand total equal the printed light-stage list folded
     through the heavy stage?  If so the total's error is inherited."""
-    try:
-        printed_k = {x: fixture_values[f"xq.klist.{x}"] for x in range(70, 89)}
-        printed_total = fixture_values["xq.total"]
-    except KeyError:
-        return False
+    printed_k = FAMILIES["xq.klist"].values
+    pairs = xiangqi.HEAVY_PAIRS
     derived = sum(
-        printed_k[x] * binom(x, y) * pair_fill_count(6, y)
-        for x in range(70, 89) for y in range(13)
+        printed_k[(x,)] * binom(x, y) * pair_fill_count(pairs, y)
+        for x in xiangqi.BLANKS_RANGE for y in range(2 * pairs + 1)
     )
     return derived == printed_total
 
 
-def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int,
-             fixture_values: dict[str, int]) -> tuple[str, str]:
+def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[str, str]:
     if oracle_value != computed:
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
     if computed == fx.paper_value:
         return MATCH, ""
-    if fx.quantity_id == "xq.total" and _xq_total_attributed(fixture_values):
+    if fx.quantity_id == "xq.total" and _xq_total_attributed(fx.paper_value):
         return TYPO, ("printed total equals the printed light-stage list folded "
                       "through the heavy stage, so it inherits that list's "
                       "confirmed errors; recomputation uses the corrected list")
@@ -110,13 +106,12 @@ def run_verify(scope: str = "all",
     if scope in ("all", "janggi"):
         geometry_checks += validate_geometry("janggi")
 
-    fixture_values = {f.quantity_id: f.paper_value for f in fixtures}
     rows: list[ReportRow] = []
     breakdowns: dict[str, list[tuple[int, int, int]]] = {}
     for fx in fixtures:
         computed = compute_quantity(fx.quantity_id)
         oracle_value = oracle_quantity(fx.quantity_id)
-        verdict, note = _verdict(fx, computed, oracle_value, fixture_values)
+        verdict, note = _verdict(fx, computed, oracle_value)
         rows.append(ReportRow(
             fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
         ))

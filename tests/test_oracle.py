@@ -1,5 +1,7 @@
 """Enumeration oracles vs. the closed-form pipeline, over full domains."""
 import ast
+import inspect
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -65,11 +67,19 @@ class TestSideOracle:
         assert enum_side_xq(35, 1) == 0
 
     def test_full_domain_equality(self):
-        # the joint placement enumeration checks the scan behind tables 4 and 5
+        # the joint placement enumeration checks the scan behind tables 4 and 5;
+        # nine pieces besides the king (two advisors, two elephants, five
+        # soldiers) leave it unbounded
         placements = Counter((45 - pieces, soldiers)
-                             for _, pieces, soldiers in oracle._xq_side_placements())
+                             for _, pieces, soldiers in oracle._xq_side_placements(9))
         assert placements == Counter({(blanks, soldiers): enum_side_exact_xq(blanks, soldiers)
                                       for blanks in range(35, 45) for soldiers in range(6)})
+        for most in range(4):
+            bounded = Counter((45 - pieces, soldiers)
+                              for _, pieces, soldiers in oracle._xq_side_placements(most))
+            assert bounded == Counter({(blanks, soldiers): ways
+                                       for (blanks, soldiers), ways in placements.items()
+                                       if 45 - blanks <= most + 1})
         for blanks in range(35, 45):
             for reserve in range(6):
                 assert enum_side_xq(blanks, reserve) == side_reserve(blanks, reserve)
@@ -129,8 +139,12 @@ class TestPositionsOracle:
         assert scan_total("xiangqi") == xq_grand_total() == TRUE_XQ_TOTAL
         assert scan_total("janggi") == jg_grand_total() == TRUE_JG_TOTAL
 
-    def test_janggi_three_piece_bound(self):
-        assert enum_positions_small("janggi", 3) == {2: 81, 3: 11340}
+    @pytest.mark.parametrize("variant,max_light_pieces", [
+        (variant, most) for variant in ("xiangqi", "janggi") for most in (2, 3)])
+    def test_lower_piece_bounds(self, variant, max_light_pieces):
+        full = {"xiangqi": ENUM_XQ_SMALL, "janggi": ENUM_JG_SMALL}[variant]
+        assert enum_positions_small(variant, max_light_pieces) == {
+            pieces: count for pieces, count in full.items() if pieces <= max_light_pieces}
 
     def test_bound_error(self):
         with pytest.raises(OracleBoundError):
@@ -156,3 +170,35 @@ def test_oracle_imports_only_geometry():
                       if a.name.startswith("statecount")}
     assert {name for name in taken if name.split(".")[0] != "geometry"} == {
         "xiangqi.CampClassRow"}
+
+
+def _reached(function) -> set[str]:
+    """Names of the oracle-module functions that ``function`` reaches through
+    its own calls, nested generators and the helpers it calls."""
+    reached: set[str] = set()
+    pending = [inspect.unwrap(function).__code__]
+    while pending:
+        code = pending.pop()
+        pending += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            value = inspect.unwrap(getattr(oracle, name, None))
+            if (name not in reached and inspect.isfunction(value)
+                    and value.__module__ == oracle.__name__):
+                reached.add(name)
+                pending.append(value.__code__)
+    return reached
+
+
+@pytest.mark.parametrize("name", ["enum_camp_xq", "enum_soldiers_xq", "enum_pair_fill",
+                                  "enum_positions_small", "_xq_side_placements"])
+def test_brute_force_tier_never_reaches_the_scan(name):
+    """The brute-force oracles and the test reference for the half scan stay
+    independent of the site scan, so the two tiers check each other."""
+    assert not {reached for reached in _reached(getattr(oracle, name))
+                if reached in ("_scan", "_half") or reached.startswith("scan_")}
+
+
+def test_scan_tier_walk_sees_the_scan():
+    # the walk is not blind: the grid and total oracles do reach the scan
+    assert {"_half", "_scan"} <= _reached(enum_side_xq)
+    assert {"scan_positions", "_half", "_scan", "count_pair_fill"} <= _reached(scan_total)

@@ -85,6 +85,10 @@ class TestDisputedEntries:
         assert "inherit" in self._row(full_verify, "xq.total").note
         assert "reconstruction" in self._row(full_verify, "jg.total").note
 
+    def test_total_note_does_not_depend_on_the_fixtures_run(self, full_verify):
+        (row,) = run_verify("xiangqi", fixtures=[fixture("xq.total")]).rows
+        assert row == self._row(full_verify, "xq.total")
+
 
 class TestBreakdowns:
     def test_divergent_totals_get_term_breakdowns(self, full_verify):
