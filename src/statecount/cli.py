@@ -12,6 +12,7 @@ import inspect
 import json
 import sys
 import time
+from functools import partial
 from typing import Sequence
 
 from . import janggi, oracle, verify, xiangqi
@@ -78,36 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="print a grand total")
     p_count.add_argument("--variant", required=True, choices=VARIANTS)
     p_count.add_argument("--format", default="dec", choices=("dec", "json"))
+    p_count.set_defaults(handler=_cmd_count)
 
     p_table = sub.add_parser("table", help="emit a recomputed table")
     p_table.add_argument("--variant", required=True, choices=VARIANTS)
     p_table.add_argument("--table", required=True, choices=TABLE_IDS)
     p_table.add_argument("--format", default="csv", choices=("csv", "json"))
+    p_table.set_defaults(handler=partial(_cmd_table, p_table))
 
     p_verify = sub.add_parser("verify", help="recompute fixtures and report discrepancies")
     p_verify.add_argument(
         "--scope", default="all", choices=("all", "xiangqi", "janggi", "combinatorics")
     )
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="run one oracle")
     p_oracle.add_argument("--target", required=True, choices=ORACLES)
     p_oracle.add_argument("params", nargs="*", help="oracle arguments")
+    p_oracle.set_defaults(handler=partial(_cmd_oracle, p_oracle))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "count":
-        return _cmd_count(args)
-    if args.command == "table":
-        return _cmd_table(parser, args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "oracle":
-        return _cmd_oracle(parser, args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

@@ -96,6 +96,7 @@ XQ_KLIST = {
 XQ_DLIST = [1, 6, 36, 210, 1170, 6120, 29520, 128520, 491400, 1587600,
             4082400, 7484400, 7484400]
 
+# --- Xiangqi grand total (source value, 40 digits)
 XQ_TOTAL = 7587909515978090371015538252511721150667
 
 # --- Janggi palace arrangements by advisor count (source prose values)
@@ -139,6 +140,7 @@ JG_SLIST = [1, 8, 64, 504, 2028, 28560, 44520, 294000, 441840, 6773760,
             6827940, 209933640, 209766060, 5448713760, 5448660840,
             40864824000, 40864824000]
 
+# --- Janggi grand total (source value, 45 digits)
 JG_TOTAL = 235103954659801304018684123148785542989018468
 
 
@@ -150,7 +152,9 @@ _PAIR_FILL_ORACLE_BUDGET = 2_500_000
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One published table or list, keyed by index tuples.
+    """One published table or list: its id prefix, the verify scope that owns
+    it, and its printed values keyed by index tuples (a camp-table key ends
+    in its column name).
 
     ``compute(*key)`` recomputes a value through the closed form;
     ``oracle(*key)`` counts it without the closed forms.
@@ -159,9 +163,7 @@ class Family:
     """
 
     name: str
-    suffix: str  # format of the index part of an id, filled from the key
-    scope: str  # the verify scope that owns the family
-    source: str
+    scope: str
     values: dict[tuple, int]
     compute: Callable[..., int]
     oracle: Callable[..., int]
@@ -175,8 +177,12 @@ class ReferenceFixture:
 
     @property
     def quantity_id(self) -> str:
-        name = self.family.name
-        return f"{name}.{self.family.suffix.format(*self.key)}" if self.key else name
+        """The family name, the key's integer indices joined by commas, and a
+        camp-table column, each after a dot: ``xq.table1.2,1.total``,
+        ``xq.table2.5.no5``, ``jg.table6.3,4``, ``xq.klist.70``, ``xq.total``."""
+        indices = ",".join([str(part) for part in self.key if isinstance(part, int)])
+        columns = [part for part in self.key if isinstance(part, str)]
+        return ".".join(filter(None, (self.family.name, indices, *columns)))
 
 
 def _keyed(printed) -> dict[tuple, int]:
@@ -197,52 +203,52 @@ def _camp_column(row: xiangqi.CampClassRow, column: str) -> int:
 
 
 def _pair_fill_oracle(m: int, n: int) -> int:
-    if m ** max(n, 1) > _PAIR_FILL_ORACLE_BUDGET:
+    if m ** n > _PAIR_FILL_ORACLE_BUDGET:
         return oracle.count_pair_fill(m, n)
     return oracle.enum_pair_fill(m, n)
 
 
 FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
-    Family("xq.table1", "{},{}.{}", "xiangqi", "source table 1", _by_column(TABLE1),
+    Family("xq.table1", "xiangqi", _by_column(TABLE1),
            lambda a, e, column: _camp_column(xiangqi.camp_classes(a, e), column),
            lambda a, e, column: _camp_column(oracle.enum_camp_xq(a, e), column)),
-    Family("xq.table2", "{}.{}", "xiangqi", "source table 2", _by_column(TABLE2),
+    Family("xq.table2", "xiangqi", _by_column(TABLE2),
            lambda pieces, column: _camp_column(xiangqi.camp_by_piece_count(pieces), column),
            lambda pieces, column: sum(
                _camp_column(oracle.enum_camp_xq(a, e), column)
                for a in range(3) for e in range(3) if a + e + 1 == pieces)),
-    Family("xq.table3", "{},{}", "xiangqi", "source table 3", TABLE3,
+    Family("xq.table3", "xiangqi", TABLE3,
            lambda blank, s: xiangqi.soldier_own_side(blank, s),
            lambda blank, s: oracle.enum_soldiers_xq(10 - blank, s)),
-    Family("xq.table4", "{},{}", "xiangqi", "source table 4 (realigned)", TABLE4,
+    Family("xq.table4", "xiangqi", TABLE4,
            lambda n, s: xiangqi.side_exact(n, s),
            lambda n, s: oracle.enum_side_exact_xq(n, s)),
-    Family("xq.table5", "{},{}", "xiangqi", "source table 5", TABLE5,
+    Family("xq.table5", "xiangqi", TABLE5,
            lambda n, k: xiangqi.side_reserve(n, k),
            lambda n, k: oracle.enum_side_xq(n, k)),
-    Family("xq.klist", "{}", "xiangqi", "source light-stage list, by blanks",
-           _keyed(XQ_KLIST), lambda x: xiangqi.xq_positions(x),
+    Family("xq.klist", "xiangqi", _keyed(XQ_KLIST),
+           lambda x: xiangqi.xq_positions(x),
            lambda x: oracle.scan_positions("xiangqi").get(90 - x, 0)),
-    Family("xq.dlist", "{}", "combinatorics", "source six-pair fill list",
-           _keyed(XQ_DLIST), lambda y: combinatorics.pair_fill_count(6, y),
-           lambda y: _pair_fill_oracle(6, y)),
-    Family("xq.total", "", "xiangqi", "source grand total (40 digits)",
-           {(): XQ_TOTAL}, lambda: xiangqi.xq_grand_total(),
+    Family("xq.dlist", "combinatorics", _keyed(XQ_DLIST),
+           lambda y: combinatorics.pair_fill_count(xiangqi.HEAVY_PAIRS, y),
+           lambda y: _pair_fill_oracle(xiangqi.HEAVY_PAIRS, y)),
+    Family("xq.total", "xiangqi", {(): XQ_TOTAL},
+           lambda: xiangqi.xq_grand_total(),
            lambda: oracle.scan_total("xiangqi")),
-    Family("jg.palace", "{}", "janggi", "source palace arrangements, by advisors",
-           _keyed(JG_PALACE), lambda advisors: janggi.jg_palace_arrangements(advisors),
+    Family("jg.palace", "janggi", _keyed(JG_PALACE),
+           lambda advisors: janggi.jg_palace_arrangements(advisors),
            lambda advisors: oracle.enum_home_jg(advisors + 1, 5)),
-    Family("jg.table6", "{},{}", "janggi", "source table 6", TABLE6,
+    Family("jg.table6", "janggi", TABLE6,
            lambda n, k: janggi.jg_home_count(n, k),
            lambda n, k: oracle.enum_home_jg(n, k)),
-    Family("jg.klist", "{}", "janggi", "source light-stage list, by pieces",
-           _keyed(JG_KLIST), lambda n: janggi.jg_positions(n),
+    Family("jg.klist", "janggi", _keyed(JG_KLIST),
+           lambda n: janggi.jg_positions(n),
            lambda n: oracle.scan_positions("janggi").get(n, 0)),
-    Family("jg.slist", "{}", "combinatorics", "source eight-pair fill list",
-           _keyed(JG_SLIST), lambda k: combinatorics.pair_fill_count(8, k),
-           lambda k: _pair_fill_oracle(8, k)),
-    Family("jg.total", "", "janggi", "source grand total (45 digits)",
-           {(): JG_TOTAL}, lambda: janggi.jg_grand_total(),
+    Family("jg.slist", "combinatorics", _keyed(JG_SLIST),
+           lambda k: combinatorics.pair_fill_count(janggi.HEAVY_PAIRS, k),
+           lambda k: _pair_fill_oracle(janggi.HEAVY_PAIRS, k)),
+    Family("jg.total", "janggi", {(): JG_TOTAL},
+           lambda: janggi.jg_grand_total(),
            lambda: oracle.scan_total("janggi")),
 )}
 

@@ -175,13 +175,11 @@ def enum_pair_fill(m: int, n: int) -> int:
     """
     if n < 0 or m < 0:
         return 0
-    if m ** max(n, 1) > PAIR_FILL_MAX_SEQUENCES:
+    if m ** n > PAIR_FILL_MAX_SEQUENCES:
         raise OracleBoundError(
             f"enum_pair_fill({m}, {n}) needs {m ** n} sequences; "
             f"bound is {PAIR_FILL_MAX_SEQUENCES}"
         )
-    if n == 0:
-        return 1
     count = 0
     for seq in product(range(m), repeat=n):
         if all(seq.count(symbol) <= 2 for symbol in set(seq)):

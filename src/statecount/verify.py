@@ -39,7 +39,6 @@ class ReportRow:
 
 @dataclass
 class VerifyResult:
-    scope: str
     geometry_checks: list[GeometryCheck]
     rows: list[ReportRow]
     breakdowns: dict[str, list[tuple[int, int, int]]] = field(default_factory=dict)
@@ -119,7 +118,7 @@ def run_verify(scope: str = "all",
             terms = (xiangqi.grand_total_terms() if fx.quantity_id == "xq.total"
                      else janggi.grand_total_terms())
             breakdowns[fx.quantity_id] = list(terms)
-    return VerifyResult(scope, geometry_checks, rows, breakdowns)
+    return VerifyResult(geometry_checks, rows, breakdowns)
 
 
 def format_report(result: VerifyResult) -> str:

@@ -143,6 +143,17 @@ class TestUsageErrors:
             main(list(argv))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--variant", "xiangqi", "--table", "t6"),
+        ("oracle", "--target", "enum_soldiers_xq", "0", "-1"),
+    ], ids=["table", "oracle"])
+    def test_usage_error_prints_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: statecount {argv[0]} ")
+        assert f"\nstatecount {argv[0]}: error: " in err
+
     def test_domain_error_names_target_and_parameter(self, capsys):
         with pytest.raises(SystemExit):
             main(["oracle", "--target", "enum_soldiers_xq", "0", "-1"])

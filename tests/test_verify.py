@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from statecount import xiangqi
-from statecount.fixtures import ALL_FIXTURES, fixture, fixtures_for_scope
+from statecount import verify, xiangqi
+from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixture, fixtures_for_scope
 from statecount.verify import (
     MATCH,
     MISMATCH,
@@ -134,6 +134,23 @@ class TestNegativeControls:
         text = format_report(result)
         assert "[mismatch] xq.total" in text
         assert "exit 1" in text
+
+
+@pytest.mark.parametrize("side", ["compute_quantity", "oracle_quantity"])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_every_family_can_fail(monkeypatch, name, side):
+    """One off-by-one on either side of a family's first row fails exactly
+    that row (the first pair-fill row is n = 0, the cheapest)."""
+    family = FAMILIES[name]
+    target = next(f for f in ALL_FIXTURES if f.family is family)
+    other = next(f for f in ALL_FIXTURES if f.family is not family)
+    real = getattr(verify, side)
+    monkeypatch.setattr(verify, side, lambda quantity_id: real(quantity_id)
+                        + (quantity_id == target.quantity_id))
+    result = run_verify(family.scope, fixtures=[target, other])
+    assert [row.verdict == MISMATCH for row in result.rows] == [True, False]
+    assert f"[mismatch] {target.quantity_id} " in format_report(result)
+    assert result.exit_code == 1
 
 
 class TestScopesAndFormat:
