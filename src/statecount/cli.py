@@ -8,8 +8,8 @@ oracle of ``ORACLES``).  Exit codes: 0 success, 1 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -102,17 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    # each command returns its output, so a reader that closes stdout early
+    # (`| head`) cannot change the exit status
+    output, status = args.handler(args)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # as the signal module docs advise, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     pipeline = xiangqi if args.variant == "xiangqi" else janggi
     terms = list(pipeline.grand_total_terms())
     total = sum(term for *_, term in terms)
     index_name = LISTS[args.variant][0]
     if args.format == "dec":
-        print(total)
-        return 0
+        return str(total), 0
     record = {
         "variant": args.variant,
         "total": str(total),
@@ -122,32 +129,24 @@ def _cmd_count(args: argparse.Namespace) -> int:
             for index, y, term in terms
         ],
     }
-    print(json.dumps(record, indent=2))
-    return 0
+    return json.dumps(record, indent=2), 0
 
 
-def _emit(headers: list[str], rows: list[list[str]], fmt: str) -> None:
+def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(row))
-    else:
-        print(json.dumps(
-            [dict(zip(headers, row)) for row in rows], indent=2
-        ))
+        return "\n".join(",".join(row) for row in [headers, *rows])
+    return json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
 
 
-def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, int]:
     if args.table not in TABLES_BY_VARIANT[args.variant]:
         parser.error(
             f"table {args.table!r} is not defined for {args.variant}; "
             f"valid: {', '.join(TABLES_BY_VARIANT[args.variant])}"
         )
     if args.table == "geometry":
-        return _emit_geometry(args)
-    headers, rows = _build_table(args.variant, args.table)
-    _emit(headers, rows, args.format)
-    return 0
+        return _render_geometry(args), 0
+    return _render(*_build_table(args.variant, args.table), args.format), 0
 
 
 def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]]]:
@@ -185,7 +184,7 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
     return headers + CAMP_HEADERS, rows
 
 
-def _emit_geometry(args: argparse.Namespace) -> int:
+def _render_geometry(args: argparse.Namespace) -> str:
     if args.format == "json":
         record = {
             "variant": args.variant,
@@ -197,23 +196,22 @@ def _emit_geometry(args: argparse.Namespace) -> int:
                 for player in ("A", "B")
             },
         }
-        print(json.dumps(record, indent=2))
-    else:
-        print("player,zone,file,rank")
-        for player in ("A", "B"):
-            for name in zone_names(args.variant):
-                for site in sorted(zone(args.variant, player, name)):
-                    print(f"{player},{name},{site.file},{site.rank}")
-    return 0
+        return json.dumps(record, indent=2)
+    lines = ["player,zone,file,rank"]
+    for player in ("A", "B"):
+        for name in zone_names(args.variant):
+            lines += [f"{player},{name},{site.file},{site.rank}"
+                      for site in sorted(zone(args.variant, player, name))]
+    return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     result = verify.run_verify(args.scope)
-    print(verify.format_report(result))
-    return result.exit_code
+    return verify.format_report(result), result.exit_code
 
 
-def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, int]:
+    import inspect  # here, not at module level: it costs every CLI process start-up
     function, domains, render = ORACLES[args.target]
     names = list(inspect.signature(function).parameters)
     if len(args.params) != len(domains):
@@ -230,8 +228,7 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         output = render(function(*params))
     except oracle.OracleBoundError as exc:
         parser.error(str(exc))
-    print(f"{output}\nwall_time_s={time.perf_counter() - started:.3f}")
-    return 0
+    return f"{output}\nwall_time_s={time.perf_counter() - started:.3f}", 0
 
 
 if __name__ == "__main__":

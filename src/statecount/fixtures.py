@@ -5,8 +5,7 @@ printed value one fixture of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import combinatorics, janggi, oracle, xiangqi
 
@@ -150,8 +149,7 @@ CAMP_COLUMNS = ("total", "two5", "one5", "no5")
 _PAIR_FILL_ORACLE_BUDGET = 2_500_000
 
 
-@dataclass(frozen=True, eq=False)
-class Family:
+class Family(NamedTuple):
     """One published table or list: its id prefix, the verify scope that owns
     it, and its printed values keyed by index tuples (a camp-table key ends
     in its column name).
@@ -169,8 +167,7 @@ class Family:
     oracle: Callable[..., int]
 
 
-@dataclass(frozen=True)
-class ReferenceFixture:
+class ReferenceFixture(NamedTuple):
     family: Family
     key: tuple
     paper_value: int

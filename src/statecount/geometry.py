@@ -12,7 +12,6 @@ of them at runtime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -98,8 +97,7 @@ def zone(variant: str, player: str, name: str) -> frozenset[Site]:
     return frozenset(mirror(s) for s in relative)
 
 
-@dataclass(frozen=True)
-class GeometryCheck:
+class GeometryCheck(NamedTuple):
     check_id: str
     passed: bool
 

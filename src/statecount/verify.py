@@ -15,7 +15,7 @@ pass, 1 otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import janggi, xiangqi
 from .combinatorics import binom, pair_fill_count
@@ -27,8 +27,7 @@ TYPO = "paper-typo-confirmed"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     quantity_id: str
     paper_value: int
     computed_value: int
@@ -37,11 +36,10 @@ class ReportRow:
     note: str = ""
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     geometry_checks: list[GeometryCheck]
     rows: list[ReportRow]
-    breakdowns: dict[str, list[tuple[int, int, int]]] = field(default_factory=dict)
+    breakdowns: dict[str, list[tuple[int, int, int]]]
 
     @property
     def exit_code(self) -> int:

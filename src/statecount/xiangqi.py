@@ -20,10 +20,9 @@ no table values are hard-coded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .combinatorics import binom, pair_fill_count
 from .geometry import zone
@@ -43,8 +42,7 @@ HEAVY_PAIRS = 6  # two chariots, horses, cannons per player
 BLANKS_RANGE = range(2 * MIN_SIDE_BLANKS, 2 * MAX_SIDE_BLANKS + 1)  # 70..88
 
 
-@dataclass(frozen=True)
-class CampClassRow:
+class CampClassRow(NamedTuple):
     """Camp arrangement counts split by elephants on the shared sites."""
 
     by_shared_elephants: tuple[int, int, int]  # index = shared-site elephants

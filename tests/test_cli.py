@@ -1,16 +1,22 @@
 """CLI surface: formats, exit codes, determinism."""
 import inspect
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
-from statecount import fixtures, oracle
+from statecount import fixtures, oracle, verify
 from statecount.cli import ORACLES, main
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
 
 from frozen import TRUE_JG_TOTAL, TRUE_XQ_TOTAL
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -239,3 +245,63 @@ class TestOracleCommand:
         # the walk reaches generator bodies (table 2) and helpers (pair fill)
         assert {"enum_camp_xq", "enum_pair_fill", "count_pair_fill", "scan_total"} <= called
         assert called <= set(ORACLES)
+
+
+def _python(*argv: str) -> subprocess.Popen:
+    """A fresh interpreter that imports ``statecount`` from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.Popen([sys.executable, *argv], cwd=REPO, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--variant", "xiangqi", "--table", "geometry"),
+    ("count", "--variant", "janggi", "--format", "json"),
+], ids=["fits-the-buffer", "overflows-the-buffer"])
+def test_closed_stdout_is_not_an_error(argv):
+    """A reader that stops early (``| head -1``) gets no traceback and the
+    command's own status, whether the write fails at exit or mid-output."""
+    proc = _python("-m", "statecount.cli", *argv)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    assert proc.returncode == 0
+
+
+def test_closed_stdout_keeps_a_mismatch_status(monkeypatch):
+    """A verify run that found a mismatch exits 1 even when no one reads it."""
+    row = verify.ReportRow("xq.total", 1, 2, 3, verify.MISMATCH)
+    monkeypatch.setattr(verify, "run_verify", lambda scope: verify.VerifyResult([], [row], {}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify"]) == 1
+
+
+def test_import_loads_every_module_without_record_machinery():
+    """``import statecount.cli`` loads every module, which the bench tracer
+    relies on, and neither ``dataclasses`` nor ``inspect``, which would cost
+    every CLI process start-up."""
+    proc = _python("-c", "import json, sys; before = set(sys.modules); "
+                   "import statecount.cli; "
+                   "print(json.dumps(sorted(set(sys.modules) - before)))")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    loaded = set(json.loads(out))
+    modules = {f"statecount.{path.stem}" for path in (REPO / "src/statecount").glob("*.py")
+               if path.stem != "__init__"}
+    assert len(modules) == 8
+    assert modules <= loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("demo", ["01_xiangqi_pipeline.py", "02_janggi_pipeline.py",
+                                  "03_oracle_audit.py"])
+def test_demo_runs(demo):
+    """The demos read record attributes that no other test reads.  Demo 04 is
+    left out: it repeats the full verify the ``full_verify`` fixture runs."""
+    proc = _python(str(REPO / "demos" / demo))
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err
+    assert proc.returncode == 0

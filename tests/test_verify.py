@@ -1,6 +1,4 @@
 """The discrepancy engine: verdicts, evidence, exit codes."""
-from dataclasses import replace
-
 import pytest
 
 from statecount import verify, xiangqi
@@ -122,7 +120,7 @@ class TestNegativeControls:
 
     def test_corrupted_oracle_backed_fixture_is_confirmed_against_print(self):
         # with a live oracle the engine sides with the enumeration
-        corrupted = replace(fixture("xq.table3.10,2"), paper_value=99)
+        corrupted = fixture("xq.table3.10,2")._replace(paper_value=99)
         result = run_verify("xiangqi", fixtures=[corrupted])
         (row,) = result.rows
         assert row.verdict == TYPO
