@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import janggi, xiangqi
 from .combinatorics import binom, pair_fill_count
-from .fixtures import FAMILIES, ReferenceFixture, fixture, fixtures_for_scope
+from .fixtures import FAMILIES, ReferenceFixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
 MATCH = "match"
@@ -53,15 +53,13 @@ class VerifyResult(NamedTuple):
         return out
 
 
-def compute_quantity(quantity_id: str) -> int:
-    """Recompute the value a fixture id refers to."""
-    fx = fixture(quantity_id)
+def compute_quantity(fx: ReferenceFixture) -> int:
+    """Recompute a fixture's value through its family's closed form."""
     return fx.family.compute(*fx.key)
 
 
-def oracle_quantity(quantity_id: str) -> int:
-    """Count the value a fixture id refers to with its family's oracle."""
-    fx = fixture(quantity_id)
+def oracle_quantity(fx: ReferenceFixture) -> int:
+    """Count a fixture's value with its family's oracle."""
     return fx.family.oracle(*fx.key)
 
 
@@ -82,11 +80,11 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
     if computed == fx.paper_value:
         return MATCH, ""
-    if fx.quantity_id == "xq.total" and _xq_total_attributed(fx.paper_value):
+    if fx.family.name == "xq.total" and _xq_total_attributed(fx.paper_value):
         return TYPO, ("printed total equals the printed light-stage list folded "
                       "through the heavy stage, so it inherits that list's "
                       "confirmed errors; recomputation uses the corrected list")
-    if fx.quantity_id == "jg.total":
+    if fx.family.name == "jg.total":
         return TYPO, ("printed total matches no reconstruction from the source's "
                       "own printed components")
     return TYPO, "the oracle confirms the recomputed value"
@@ -106,14 +104,14 @@ def run_verify(scope: str = "all",
     rows: list[ReportRow] = []
     breakdowns: dict[str, list[tuple[int, int, int]]] = {}
     for fx in fixtures:
-        computed = compute_quantity(fx.quantity_id)
-        oracle_value = oracle_quantity(fx.quantity_id)
+        computed = compute_quantity(fx)
+        oracle_value = oracle_quantity(fx)
         verdict, note = _verdict(fx, computed, oracle_value)
         rows.append(ReportRow(
             fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
         ))
-        if verdict != MATCH and fx.quantity_id in ("xq.total", "jg.total"):
-            terms = (xiangqi.grand_total_terms() if fx.quantity_id == "xq.total"
+        if verdict != MATCH and fx.family.name in ("xq.total", "jg.total"):
+            terms = (xiangqi.grand_total_terms() if fx.family.name == "xq.total"
                      else janggi.grand_total_terms())
             breakdowns[fx.quantity_id] = list(terms)
     return VerifyResult(geometry_checks, rows, breakdowns)

@@ -1,13 +1,12 @@
 """The discrepancy engine: verdicts, evidence, exit codes."""
 import pytest
 
-from statecount import verify, xiangqi
+from statecount import xiangqi
 from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixture, fixtures_for_scope
 from statecount.verify import (
     MATCH,
     MISMATCH,
     TYPO,
-    compute_quantity,
     format_report,
     run_verify,
 )
@@ -136,19 +135,28 @@ class TestNegativeControls:
 
 @pytest.mark.parametrize("side", ["compute_quantity", "oracle_quantity"])
 @pytest.mark.parametrize("name", FAMILIES)
-def test_every_family_can_fail(monkeypatch, name, side):
-    """One off-by-one on either side of a family's first row fails exactly
-    that row (the first pair-fill row is n = 0, the cheapest)."""
+def test_every_family_can_fail(name, side):
+    """One off-by-one on either side of a family's first row, carried by the
+    fixture handed in, fails exactly that row (the first pair-fill row is
+    n = 0, the cheapest)."""
     family = FAMILIES[name]
     target = next(f for f in ALL_FIXTURES if f.family is family)
     other = next(f for f in ALL_FIXTURES if f.family is not family)
-    real = getattr(verify, side)
-    monkeypatch.setattr(verify, side, lambda quantity_id: real(quantity_id)
-                        + (quantity_id == target.quantity_id))
-    result = run_verify(family.scope, fixtures=[target, other])
+    field = side.removesuffix("_quantity")
+    real = getattr(family, field)
+    broken = target._replace(family=family._replace(
+        **{field: lambda *key: real(*key) + 1}))
+    result = run_verify(family.scope, fixtures=[broken, other])
     assert [row.verdict == MISMATCH for row in result.rows] == [True, False]
     assert f"[mismatch] {target.quantity_id} " in format_report(result)
     assert result.exit_code == 1
+
+
+def test_rekeyed_fixture_is_judged_by_its_own_key():
+    rekeyed = fixture("jg.palace.0")._replace(key=(2,))
+    (row,) = run_verify("janggi", fixtures=[rekeyed]).rows
+    assert row.quantity_id == "jg.palace.2"
+    assert row.computed_value == row.oracle_value == 252
 
 
 class TestScopesAndFormat:
@@ -178,6 +186,6 @@ class TestScopesAndFormat:
         assert format_report(full_verify).splitlines()[-1].startswith("summary:")
 
 
-def test_compute_quantity_rejects_unknown_id():
+def test_fixture_rejects_unknown_id():
     with pytest.raises(ValueError):
-        compute_quantity("xq.table9.1,1")
+        fixture("xq.table9.1,1")
