@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def _domain_cases():
     """Per ORACLES row: the first in-domain argument tuple (exit 0), each
     range parameter just outside its range, each variant parameter set to
     chess, and one argument too few and too many (exit 2)."""
-    for target, (_, domains, _) in ORACLES.items():
+    for target, (domains, _) in ORACLES.items():
         first = [str(domain[0]) for domain in domains]
         cases = [(first, 0), (first[:-1], 2), (first + first[:1], 2)]
         for i, domain in enumerate(domains):
@@ -223,6 +224,8 @@ class TestOracleCommand:
         )
         assert code == 0
         assert "2:81" in out
+        domains, _ = ORACLES["enum_positions_small"]
+        assert domains[1] == range(2, oracle.POSITIONS_MAX_LIGHT_PIECES + 1)
 
     def test_pair_fill(self, capsys):
         code, out = run_cli(capsys, "oracle", "--target", "enum_pair_fill", "4", "8")
@@ -280,20 +283,66 @@ def test_closed_stdout_keeps_a_mismatch_status(monkeypatch):
 
 
 def test_import_loads_every_module_without_record_machinery():
-    """``import statecount.cli`` loads every module, which the bench tracer
-    relies on, and neither ``dataclasses`` nor ``inspect``, which would cost
-    every CLI process start-up."""
-    proc = _python("-c", "import json, sys; before = set(sys.modules); "
-                   "import statecount.cli; "
-                   "print(json.dumps(sorted(set(sys.modules) - before)))")
+    """``import statecount.cli`` puts every module in ``sys.modules``, which
+    the bench tracer relies on, and loads neither ``dataclasses`` nor
+    ``inspect``.  ``count`` and every table but ``slist`` then run without
+    running the bodies of the deferred ``oracle``, ``fixtures`` and
+    ``verify``: each of these would cost every such process start-up."""
+    proc = _python("-c", textwrap.dedent("""\
+        import json, sys, types
+        before = set(sys.modules)
+        import statecount.cli as cli
+        loaded = sorted(set(sys.modules) - before)
+        for variant, tables in cli.TABLES_BY_VARIANT.items():
+            cli.main(["count", "--variant", variant])
+            for table in tables:
+                if table != "slist":
+                    cli.main(["table", "--variant", variant, "--table", table])
+        ran = [name for name in ("oracle", "fixtures", "verify")
+               if type(sys.modules[f"statecount.{name}"]) is types.ModuleType]
+        print(json.dumps({"loaded": loaded, "ran": ran}))"""))
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
-    loaded = set(json.loads(out))
+    record = json.loads(out.splitlines()[-1])
+    loaded = set(record["loaded"])
     modules = {f"statecount.{path.stem}" for path in (REPO / "src/statecount").glob("*.py")
                if path.stem != "__init__"}
     assert len(modules) == 8
     assert modules <= loaded
     assert not {"dataclasses", "inspect"} & loaded
+    assert record["ran"] == []
+
+
+@pytest.mark.parametrize("code,expected", [
+    ("import statecount.cli; import statecount.oracle; "
+     "print(statecount.oracle.PAIR_FILL_MAX_SEQUENCES)", "20000000"),
+    ("import statecount.oracle as o; import statecount.cli as c; print(c.oracle is o)",
+     "True"),
+], ids=["binds-the-package-attribute", "keeps-an-imported-module"])
+def test_deferred_module_behaves_like_an_import(code, expected):
+    """A deferred module is reachable as ``statecount.<name>``, and one that is
+    already imported stays the only copy, so caches and patches are shared."""
+    proc = _python("-c", code)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.strip() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--variant", "janggi", "--table", "slist"),
+    ("oracle", "--target", "enum_camp_xq", "2", "2"),
+    ("verify", "--scope", "janggi"),
+], ids=["slist", "oracle", "verify"])
+def test_deferred_handlers_print_what_an_eager_import_prints(capsys, argv):
+    """In a fresh process the handlers that use a deferred module run its body
+    on first touch and print what they print here, where it was imported."""
+    proc = _python("-m", "statecount.cli", *argv)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    _, expected = run_cli(capsys, *argv)
+    timed = "wall_time_s="
+    assert ([line for line in out.splitlines() if not line.startswith(timed)]
+            == [line for line in expected.splitlines() if not line.startswith(timed)])
 
 
 @pytest.mark.parametrize("demo", ["01_xiangqi_pipeline.py", "02_janggi_pipeline.py",

@@ -39,7 +39,7 @@ def test_report_and_cli_outputs_are_byte_identical(full_verify, capsys):
 # up to 10^5 sequences, so the whole set runs in a few seconds
 ORACLE_CASES = [
     ["oracle", "--target", target, *map(str, params)]
-    for target, (_, domains, _) in ORACLES.items() for params in product(*domains)
+    for target, (domains, _) in ORACLES.items() for params in product(*domains)
     if target != "enum_pair_fill" or params[0] ** params[1] <= 10 ** 5
 ]
 
