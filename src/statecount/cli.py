@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 import time
@@ -149,6 +148,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     index_name = LISTS[args.variant][0]
     if args.format == "dec":
         return str(total), 0
+    import json  # in the JSON branches only: dec and csv output never load it
     record = {
         "variant": args.variant,
         "total": str(total),
@@ -164,6 +164,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[str, int]:
 def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [headers, *rows])
+    import json
     return json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
 
 
@@ -208,6 +209,7 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
 
 def _render_geometry(args: argparse.Namespace) -> str:
     if args.format == "json":
+        import json
         record = {
             "variant": args.variant,
             "zones": {

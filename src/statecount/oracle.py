@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
+from operator import ne
 
 from .geometry import FILES, board_sites, mirror, zone
 from .xiangqi import CampClassRow
@@ -171,7 +172,10 @@ def enum_pair_fill(m: int, n: int) -> int:
     """Count length-n site-label sequences over m symbols, none used thrice.
 
     Enumerates all m^n sequences, so the bound is m^n <= 20 million
-    (covers m <= 4, n <= 8 and m = 8, n <= 8).
+    (covers m <= 4, n <= 8 and m = 8, n <= 8).  Each sequence is judged on
+    its sorted copy: a symbol used three times fills three consecutive
+    places there, so the sequence passes when no place equals the one two
+    further on.
     """
     if n < 0 or m < 0:
         return 0
@@ -182,7 +186,8 @@ def enum_pair_fill(m: int, n: int) -> int:
         )
     count = 0
     for seq in product(range(m), repeat=n):
-        if all(seq.count(symbol) <= 2 for symbol in set(seq)):
+        ordered = sorted(seq)
+        if all(map(ne, ordered, ordered[2:])):
             count += 1
     return count
 

@@ -92,9 +92,19 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
 
 def run_verify(scope: str = "all",
                fixtures: list[ReferenceFixture] | None = None) -> VerifyResult:
-    """Recompute every fixture in scope, oracle-check it, and adjudicate."""
+    """Recompute every fixture in scope, oracle-check it, and adjudicate.
+
+    A fixture whose key is not one its family prints is refused up front
+    (``ValueError``): outside the printed keys a family's oracle need not
+    agree with its closed form, so such a row could read as a build defect
+    or as a confirmed typo.
+    """
     if fixtures is None:
         fixtures = fixtures_for_scope(scope)
+    for fx in fixtures:
+        if fx.key not in fx.family.values:
+            raise ValueError(f"{fx.quantity_id}: key {fx.key} is not a printed "
+                             f"key of family {fx.family.name}")
     geometry_checks: list[GeometryCheck] = []
     if scope in ("all", "xiangqi"):
         geometry_checks += validate_geometry("xiangqi")

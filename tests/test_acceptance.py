@@ -165,8 +165,8 @@ def test_c09_janggi_light_stage_list():
                   list_ok and enum_ok)
 
 
-def test_c10_eight_pair_list_adjudication():
-    result = run_verify("combinatorics")
+def test_c10_eight_pair_list_adjudication(combinatorics_verify):
+    result = combinatorics_verify
     rows = {r.quantity_id: r for r in result.rows}
     ok = (
         rows["jg.slist.5"].verdict == MATCH

@@ -313,6 +313,23 @@ def test_import_loads_every_module_without_record_machinery():
     assert record["ran"] == []
 
 
+def test_dec_and_csv_output_do_not_load_json():
+    """``json`` is imported only by the JSON branches of ``count`` and
+    ``table``; a fresh interpreter that has not loaded it yet prints a dec
+    total and a csv table without it."""
+    proc = _python("-c", textwrap.dedent("""\
+        import sys
+        before = "json" in sys.modules
+        import statecount.cli as cli
+        cli.main(["count", "--variant", "xiangqi"])
+        cli.main(["table", "--variant", "janggi", "--table", "t6"])
+        print(before, "json" in sys.modules)"""))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    before, after = out.splitlines()[-1].split()
+    assert before == "True" or after == "False"
+
+
 @pytest.mark.parametrize("code,expected", [
     ("import statecount.cli; import statecount.oracle; "
      "print(statecount.oracle.PAIR_FILL_MAX_SEQUENCES)", "20000000"),

@@ -115,6 +115,19 @@ class TestPairFillOracle:
         assert enum_pair_fill(8, 4) == pair_fill_count(8, 4) == 3864
         assert enum_pair_fill(8, 6) == pair_fill_count(8, 6) == 201600
 
+    def test_every_sequence_is_visited(self, monkeypatch):
+        """No shortcut: the brute force draws all m^n sequences from
+        ``product`` and judges each one."""
+        real_product, drawn = oracle.product, []
+
+        def counting_product(*args, **kwargs):
+            for seq in real_product(*args, **kwargs):
+                drawn.append(seq)
+                yield seq
+        monkeypatch.setattr(oracle, "product", counting_product)
+        assert enum_pair_fill(4, 6) == count_pair_fill(4, 6)
+        assert len(drawn) == len(set(drawn)) == 4 ** 6
+
     def test_bound_error_states_the_bound(self):
         with pytest.raises(OracleBoundError, match="20000000"):
             enum_pair_fill(8, 12)

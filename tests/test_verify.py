@@ -1,7 +1,7 @@
 """The discrepancy engine: verdicts, evidence, exit codes."""
 import pytest
 
-from statecount import xiangqi
+from statecount import verify, xiangqi
 from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixture, fixtures_for_scope
 from statecount.verify import (
     MATCH,
@@ -159,6 +159,22 @@ def test_rekeyed_fixture_is_judged_by_its_own_key():
     assert row.computed_value == row.oracle_value == 252
 
 
+@pytest.mark.parametrize("key", [3, 7, -1])
+def test_unprinted_key_is_refused_before_any_count(key, monkeypatch):
+    """Keys outside the printed domain would read as a mismatch (3, 7: the
+    home oracle counts at most three palace pieces) or as a confirmed typo
+    (-1: both sides count 0); they are refused before any closed form,
+    oracle or geometry check runs."""
+    def never(*_):
+        raise AssertionError("counted an unprinted key")
+    monkeypatch.setattr(verify, "validate_geometry", never)
+    family = FAMILIES["jg.palace"]
+    rekeyed = fixture("jg.palace.0")._replace(
+        key=(key,), family=family._replace(compute=never, oracle=never))
+    with pytest.raises(ValueError, match=rf"jg\.palace\.{key}\b.*jg\.palace"):
+        run_verify("janggi", fixtures=[rekeyed])
+
+
 class TestScopesAndFormat:
     def test_scope_partition(self):
         all_ids = {f.quantity_id for f in fixtures_for_scope("all")}
@@ -174,8 +190,8 @@ class TestScopesAndFormat:
         with pytest.raises(ValueError):
             fixtures_for_scope("everything")
 
-    def test_combinatorics_scope_runs_standalone(self):
-        result = run_verify("combinatorics")
+    def test_combinatorics_scope_runs_standalone(self, combinatorics_verify):
+        result = combinatorics_verify
         assert result.exit_code == 0
         ids = {r.quantity_id for r in result.rows}
         assert all(i.startswith(("xq.dlist", "jg.slist")) for i in ids)
