@@ -10,17 +10,23 @@ oracle of ``ORACLES``).  Exit codes: 0 success, 1 verification mismatch,
 in ``sys.modules``, where callers such as the benchmark tracer look them up,
 but runs each body only on first attribute use.  Imports inside the handlers
 would leave them unregistered.
+
+``count`` and ``table`` argvs in their canonical form (``_fast_args``) are
+parsed without argparse, whose import and parser construction would cost each
+such process more than the parsing; every other argv goes to ``build_parser``.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import os
 import sys
 import time
 from functools import partial
-from types import ModuleType
-from typing import Sequence
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _deferred(name: str) -> ModuleType:
@@ -71,6 +77,13 @@ GRIDS = {
     "t6": (lambda n, k: janggi.jg_home_count(n, k), "pieces", HOME_PIECES, "reserve_", SOLDIERS),
 }
 CAMP_HEADERS = ["total", "two_shared", "one_shared", "no_shared"]
+# the options of count and table, in the order argparse lists them: name ->
+# choices; --format is optional with its first choice the default, and every
+# other option is required
+OPTIONS = {
+    "count": {"--variant": VARIANTS, "--format": ("dec", "json")},
+    "table": {"--variant": VARIANTS, "--table": TABLE_IDS, "--format": ("csv", "json")},
+}
 
 
 def _by_pieces_text(counts) -> str:
@@ -96,7 +109,20 @@ ORACLES = {
 }
 
 
+def _add_command(sub: argparse._SubParsersAction, command: str,
+                 help_text: str) -> argparse.ArgumentParser:
+    """The ``count`` or ``table`` subparser, with the options of ``OPTIONS``."""
+    parser = sub.add_parser(command, help=help_text)
+    for option, choices in OPTIONS[command].items():
+        if option == "--format":
+            parser.add_argument(option, default=choices[0], choices=choices)
+        else:
+            parser.add_argument(option, required=True, choices=choices)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at module level: _fast_args parses count and table without it
     parser = argparse.ArgumentParser(
         prog="statecount",
         description="Exact state-space counts for Xiangqi and Janggi, "
@@ -104,16 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="print a grand total")
-    p_count.add_argument("--variant", required=True, choices=VARIANTS)
-    p_count.add_argument("--format", default="dec", choices=("dec", "json"))
-    p_count.set_defaults(handler=_cmd_count)
-
-    p_table = sub.add_parser("table", help="emit a recomputed table")
-    p_table.add_argument("--variant", required=True, choices=VARIANTS)
-    p_table.add_argument("--table", required=True, choices=TABLE_IDS)
-    p_table.add_argument("--format", default="csv", choices=("csv", "json"))
-    p_table.set_defaults(handler=partial(_cmd_table, p_table))
+    _add_command(sub, "count", "print a grand total").set_defaults(handler=_cmd_count)
+    p_table = _add_command(sub, "table", "emit a recomputed table")
+    p_table.set_defaults(handler=partial(_defined_table, p_table))
 
     p_verify = sub.add_parser("verify", help="recompute fixtures and report discrepancies")
     p_verify.add_argument(
@@ -128,8 +147,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``argv`` parsed as argparse parses it, if it is ``count`` or ``table``
+    followed by whole ``--option value`` pairs: each option of ``OPTIONS``
+    given once with one of its choices, every required option given, and the
+    table defined for the variant.  None for any other argv, which is left to
+    argparse: help, ``--option=value``, abbreviations and usage errors."""
+    options = OPTIONS.get(argv[0]) if argv else None
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if options is None or len(argv) != 1 + 2 * len(pairs) or not pairs.keys() <= options.keys():
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for option, choices in options.items():
+        value = pairs.get(option, choices[0] if option == "--format" else None)
+        if value not in choices:
+            return None
+        setattr(args, option[2:], value)
+    if args.command == "count":
+        args.handler = _cmd_count
+    elif args.table in TABLES_BY_VARIANT[args.variant]:
+        args.handler = _cmd_table
+    else:
+        return None
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _fast_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     # each command returns its output, so a reader that closes stdout early
     # (`| head`) cannot change the exit status
     output, status = args.handler(args)
@@ -141,7 +187,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return status
 
 
-def _cmd_count(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_count(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
     pipeline = xiangqi if args.variant == "xiangqi" else janggi
     terms = list(pipeline.grand_total_terms())
     total = sum(term for *_, term in terms)
@@ -168,12 +214,17 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     return json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
 
 
-def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, int]:
+def _defined_table(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> tuple[str, int]:
     if args.table not in TABLES_BY_VARIANT[args.variant]:
         parser.error(
             f"table {args.table!r} is not defined for {args.variant}; "
             f"valid: {', '.join(TABLES_BY_VARIANT[args.variant])}"
         )
+    return _cmd_table(args)
+
+
+def _cmd_table(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
     if args.table == "geometry":
         return _render_geometry(args), 0
     return _render(*_build_table(args.variant, args.table), args.format), 0
@@ -207,7 +258,7 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
     return headers + CAMP_HEADERS, rows
 
 
-def _render_geometry(args: argparse.Namespace) -> str:
+def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:
     if args.format == "json":
         import json
         record = {

@@ -171,11 +171,11 @@ def enum_home_jg(n: int, k: int) -> int:
 def enum_pair_fill(m: int, n: int) -> int:
     """Count length-n site-label sequences over m symbols, none used thrice.
 
-    Enumerates all m^n sequences, so the bound is m^n <= 20 million
-    (covers m <= 4, n <= 8 and m = 8, n <= 8).  Each sequence is judged on
-    its sorted copy: a symbol used three times fills three consecutive
-    places there, so the sequence passes when no place equals the one two
-    further on.
+    Enumerates all m^n sequences, so the bound is m^n <= 20 million.  For
+    the pair counts verify uses, that covers n <= 9 at m = 6 (Xiangqi) and
+    n <= 8 at m = 8 (Janggi).  Each sequence is judged on its sorted copy:
+    a symbol used three times fills three consecutive places there, so the
+    sequence passes when no place equals the one two further on.
     """
     if n < 0 or m < 0:
         return 0

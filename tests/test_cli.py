@@ -6,12 +6,14 @@ import subprocess
 import sys
 import textwrap
 import types
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
 
 from statecount import fixtures, oracle, verify
-from statecount.cli import ORACLES, main
+from statecount.cli import (GRIDS, OPTIONS, ORACLES, TABLES_BY_VARIANT, _fast_args,
+                            build_parser, main)
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
 
@@ -125,6 +127,87 @@ class TestVerifyCommand:
         assert code == 0
         assert "[paper-typo-confirmed] jg.slist.4" in out
         assert "[match] jg.slist.5" in out
+
+
+# the fixtures family each grid prints, and whether its key is (column, row)
+GRID_FAMILIES = {"t3": ("xq.table3", True), "t4": ("xq.table4", True),
+                 "t5": ("xq.table5", True), "t6": ("jg.table6", False)}
+
+
+def test_every_printed_grid_cell_matches_its_oracle(capsys):
+    """Each cell ``table`` prints for t3-t6, also those the paper does not
+    print, equals its family's oracle at the matching key."""
+    cells = 0
+    for table, (name, column_first) in GRID_FAMILIES.items():
+        family = fixtures.FAMILIES[name]
+        prefix = GRIDS[table][3]
+        _, out = run_cli(capsys, "table", "--variant", family.scope, "--table", table)
+        header, *rows = (line.split(",") for line in out.splitlines())
+        columns = [int(cell.removeprefix(prefix)) for cell in header[1:]]
+        for row, *printed in rows:
+            for column, value in zip(columns, printed):
+                key = (column, int(row)) if column_first else (int(row), column)
+                assert int(value) == family.oracle(*key), (table, row, column)
+                cells += 1
+    assert cells == 186
+
+
+def _option_argvs():
+    """Every ``count``/``table`` argv of whole option pairs: each subset of
+    the command's options, in every order, with every choice."""
+    for command, options in OPTIONS.items():
+        for size in range(len(options) + 1):
+            for names in permutations(options, size):
+                for values in product(*(options[name] for name in names)):
+                    yield [command, *chain.from_iterable(zip(names, values))]
+
+
+def _mutations(argv):
+    """Forms of a canonical argv that argparse parses and the fast path leaves
+    to it."""
+    command, option, value, *rest = argv
+    yield [command, option[:5], value, *rest]  # abbreviated: --var, --tab, --for
+    yield [command, f"{option}={value}", *rest]
+    yield [*argv, option, value]  # duplicated
+    yield [command, *rest] if option == "--variant" else [command, option, value]  # no --variant
+    yield [command, option, "chess", *rest]
+    yield [*argv, "-h"]
+    yield [*argv, "extra"]
+    yield [*argv, "--"]
+
+
+def _argparse_fields(parser, argv):
+    """What argparse parses ``argv`` to, the handler aside; None if it exits."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        return None
+    return {name: value for name, value in vars(args).items() if name != "handler"}
+
+
+def test_fast_path_parses_as_argparse_does():
+    """The fast path takes exactly the canonical ``count``/``table`` argvs, every
+    required option given once with a valid choice and the table defined for
+    the variant, and parses each as argparse does; it takes no other argv."""
+    parser = build_parser()
+    canonical, other = [], []
+    for argv in _option_argvs():
+        given = dict(zip(argv[1::2], argv[2::2]))
+        required = {name for name in OPTIONS[argv[0]] if name != "--format"}
+        if required <= given.keys() and (
+                argv[0] == "count" or given["--table"] in TABLES_BY_VARIANT[given["--variant"]]):
+            canonical.append(argv)
+        else:
+            other.append(argv)
+    other += [mutated for argv in canonical for mutated in _mutations(argv)]
+    assert (len(canonical), len(other)) == (178, 1569)
+    for argv in canonical:
+        fast = _fast_args(argv)
+        assert fast is not None, argv
+        expected = _argparse_fields(parser, argv)
+        assert expected == {name: value for name, value in vars(fast).items()
+                            if name != "handler"}, argv
+    assert [argv for argv in other if _fast_args(argv) is not None] == []
 
 
 class TestUsageErrors:
@@ -285,22 +368,29 @@ def test_closed_stdout_keeps_a_mismatch_status(monkeypatch):
 def test_import_loads_every_module_without_record_machinery():
     """``import statecount.cli`` puts every module in ``sys.modules``, which
     the bench tracer relies on, and loads neither ``dataclasses`` nor
-    ``inspect``.  ``count`` and every table but ``slist`` then run without
-    running the bodies of the deferred ``oracle``, ``fixtures`` and
-    ``verify``: each of these would cost every such process start-up."""
+    ``inspect``, nor ``argparse`` with the ``gettext`` and ``locale`` it loads.
+    ``count`` and every table but ``slist`` then run without running the bodies
+    of the deferred ``oracle``, ``fixtures`` and ``verify``, and no ``count``
+    or ``table`` call loads ``argparse``: each of these would cost every such
+    process start-up."""
     proc = _python("-c", textwrap.dedent("""\
         import json, sys, types
         before = set(sys.modules)
         import statecount.cli as cli
         loaded = sorted(set(sys.modules) - before)
-        for variant, tables in cli.TABLES_BY_VARIANT.items():
-            cli.main(["count", "--variant", variant])
-            for table in tables:
-                if table != "slist":
-                    cli.main(["table", "--variant", variant, "--table", table])
-        ran = [name for name in ("oracle", "fixtures", "verify")
-               if type(sys.modules[f"statecount.{name}"]) is types.ModuleType]
-        print(json.dumps({"loaded": loaded, "ran": ran}))"""))
+        for slist in (False, True):
+            for variant, tables in cli.TABLES_BY_VARIANT.items():
+                for fmt in cli.OPTIONS["count"]["--format"] * (not slist):
+                    cli.main(["count", "--variant", variant, "--format", fmt])
+                for table in tables:
+                    for fmt in cli.OPTIONS["table"]["--format"] * ((table == "slist") == slist):
+                        cli.main(["table", "--variant", variant, "--table", table,
+                                  "--format", fmt])
+            if not slist:
+                ran = [name for name in ("oracle", "fixtures", "verify")
+                       if type(sys.modules[f"statecount.{name}"]) is types.ModuleType]
+        called = sorted(set(sys.modules) - before)
+        print(json.dumps({"loaded": loaded, "ran": ran, "called": called}))"""))
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     record = json.loads(out.splitlines()[-1])
@@ -309,8 +399,9 @@ def test_import_loads_every_module_without_record_machinery():
                if path.stem != "__init__"}
     assert len(modules) == 8
     assert modules <= loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & loaded
     assert record["ran"] == []
+    assert not {"argparse", "gettext", "locale"} & set(record["called"])
 
 
 def test_dec_and_csv_output_do_not_load_json():
