@@ -2,26 +2,28 @@
 
 Subcommands: ``count`` (grand totals), ``table`` (recomputed tables as
 CSV/JSON), ``verify`` (the discrepancy report), ``oracle`` (run one
-oracle of ``ORACLES``).  Exit codes: 0 success, 1 verification mismatch,
-2 usage error.  All JSON counts are decimal strings, never floats.
+oracle of ``commands.ORACLES``).  Exit codes: 0 success, 1 verification
+mismatch, 2 usage error.  All JSON counts are decimal strings, never floats.
 
-``count`` and most tables need only the closed forms.  ``oracle``,
-``fixtures`` and ``verify`` are deferred: importing this module registers them
-in ``sys.modules``, where callers such as the benchmark tracer look them up,
-but runs each body only on first attribute use.  Imports inside the handlers
-would leave them unregistered.
+A ``count`` or ``table`` process runs only the modules it prints from.  Every
+module but ``geometry`` is deferred: importing this one registers it in
+``sys.modules``, where callers such as the benchmark tracer look it up, but
+runs its body only on first attribute use.  Imports inside the handlers
+would leave them unregistered.  ``xiangqi`` and ``janggi`` hold one variant's
+closed forms each, with ``combinatorics`` under both; ``oracle``,
+``fixtures`` and ``verify`` serve ``verify``, ``oracle`` and the ``slist``
+table; ``commands`` is the argparse parser.
 
 ``count`` and ``table`` argvs in their canonical form (``_fast_args``) are
 parsed without argparse, whose import and parser construction would cost each
-such process more than the parsing; every other argv goes to ``build_parser``.
+such process more than the parsing; every other argv goes to
+``commands.build_parser``.
 """
 from __future__ import annotations
 
 import importlib.util
 import os
 import sys
-import time
-from functools import partial
 from types import ModuleType, SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,11 +46,11 @@ def _deferred(name: str) -> ModuleType:
     return module
 
 
-# ahead of the closed forms in sys.modules, so that a walk over it in order (the
-# bench tracer's patching) runs each deferred body before patching what it imports
-oracle, fixtures, verify = map(_deferred, ("oracle", "fixtures", "verify"))
+# ahead of geometry in sys.modules, so that a walk over it in order (the bench
+# tracer's patching) runs each deferred body before patching what it imports
+oracle, fixtures, verify, commands, xiangqi, janggi, combinatorics = map(_deferred, (
+    "oracle", "fixtures", "verify", "commands", "xiangqi", "janggi", "combinatorics"))
 
-from . import janggi, xiangqi  # noqa: E402
 from .geometry import VARIANTS, zone, zone_names  # noqa: E402
 
 TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "klist", "slist", "geometry")
@@ -56,27 +58,24 @@ TABLES_BY_VARIANT = {
     "xiangqi": ("t1", "t2", "t3", "t4", "t5", "klist", "slist", "geometry"),
     "janggi": ("t6", "klist", "slist", "geometry"),
 }
+# each variant's closed-form module.  LISTS and GRIDS name its attributes, looked
+# up at call time, so a process runs only its own variant's module and a
+# patched closed form is seen by every cell
+PIPELINES = {"xiangqi": xiangqi, "janggi": janggi}
 # per variant: index header, light-stage indices and closed form, pair-fill family
 LISTS = {
-    "xiangqi": ("blanks", xiangqi.BLANKS_RANGE, lambda x: xiangqi.xq_positions(x), "xq.dlist"),
-    "janggi": ("pieces", janggi.PIECES_RANGE, lambda n: janggi.jg_positions(n), "jg.slist"),
+    "xiangqi": ("blanks", "BLANKS_RANGE", "xq_positions", "xq.dlist"),
+    "janggi": ("pieces", "PIECES_RANGE", "jg_positions", "jg.slist"),
 }
-# index ranges of the published grids: blanks on one Xiangqi half, soldiers
-# used or held in reserve, pieces in one Janggi home zone
-SIDE_BLANKS = range(xiangqi.MIN_SIDE_BLANKS, xiangqi.MAX_SIDE_BLANKS + 1)
-SOLDIERS = range(xiangqi.MAX_SOLDIERS + 1)
-HOME_PIECES = range(1, janggi.MAX_HOME_PIECES + 1)
-# t3-t6 print one closed form as a grid: its value at (row, column), row
-# header, row indices, column header prefix, column indices; the closed forms
-# are looked up at call time, so a patched module attribute sees every cell
+# t3-t6 print one closed form as a grid: the closed form, row header, row
+# indices, column header prefix, column indices, and whether the closed form
+# takes the column first
 GRIDS = {
-    "t3": (lambda s, blank: xiangqi.soldier_own_side(blank, s),
-           "soldiers", SOLDIERS, "blank_", (10, 9, 8)),
-    "t4": (lambda s, n: xiangqi.side_exact(n, s), "soldiers", SOLDIERS, "blanks_", SIDE_BLANKS),
-    "t5": (lambda k, n: xiangqi.side_reserve(n, k), "reserve", SOLDIERS, "blanks_", SIDE_BLANKS),
-    "t6": (lambda n, k: janggi.jg_home_count(n, k), "pieces", HOME_PIECES, "reserve_", SOLDIERS),
+    "t3": ("soldier_own_side", "soldiers", "SOLDIERS", "blank_", "BLANK_SOLDIER_SITES", True),
+    "t4": ("side_exact", "soldiers", "SOLDIERS", "blanks_", "SIDE_BLANKS", True),
+    "t5": ("side_reserve", "reserve", "SOLDIERS", "blanks_", "SIDE_BLANKS", True),
+    "t6": ("jg_home_count", "pieces", "HOME_PIECES", "reserve_", "SOLDIERS", False),
 }
-CAMP_HEADERS = ["total", "two_shared", "one_shared", "no_shared"]
 # the options of count and table, in the order argparse lists them: name ->
 # choices; --format is optional with its first choice the default, and every
 # other option is required
@@ -84,67 +83,6 @@ OPTIONS = {
     "count": {"--variant": VARIANTS, "--format": ("dec", "json")},
     "table": {"--variant": VARIANTS, "--table": TABLE_IDS, "--format": ("csv", "json")},
 }
-
-
-def _by_pieces_text(counts) -> str:
-    return " ".join(f"{t}:{counts[t]}" for t in sorted(counts))
-
-
-# target (the name of its oracle function) -> (one domain per parameter, how the
-# result prints); a domain is a range or a tuple of names, and the ranges index
-# the published tables checked
-ORACLES = {
-    "enum_camp_xq": ((range(3), range(3)), lambda row: " ".join(
-        f"{h}={v}" for h, v in zip(CAMP_HEADERS, row.columns))),
-    "enum_soldiers_xq": ((range(3), SOLDIERS), str),
-    "enum_side_exact_xq": ((SIDE_BLANKS, SOLDIERS), str),
-    "enum_side_xq": ((SIDE_BLANKS, SOLDIERS), str),
-    "enum_home_jg": ((HOME_PIECES, SOLDIERS), str),
-    "enum_pair_fill": ((range(9), range(17)), str),
-    "count_pair_fill": ((range(9), range(17)), str),
-    # light pieces up to oracle.POSITIONS_MAX_LIGHT_PIECES
-    "enum_positions_small": ((VARIANTS, range(2, 5)), _by_pieces_text),
-    "scan_positions": ((VARIANTS,), _by_pieces_text),
-    "scan_total": ((VARIANTS,), str),
-}
-
-
-def _add_command(sub: argparse._SubParsersAction, command: str,
-                 help_text: str) -> argparse.ArgumentParser:
-    """The ``count`` or ``table`` subparser, with the options of ``OPTIONS``."""
-    parser = sub.add_parser(command, help=help_text)
-    for option, choices in OPTIONS[command].items():
-        if option == "--format":
-            parser.add_argument(option, default=choices[0], choices=choices)
-        else:
-            parser.add_argument(option, required=True, choices=choices)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    import argparse  # here, not at module level: _fast_args parses count and table without it
-    parser = argparse.ArgumentParser(
-        prog="statecount",
-        description="Exact state-space counts for Xiangqi and Janggi, "
-        "with oracle-backed verification against the published figures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_command(sub, "count", "print a grand total").set_defaults(handler=_cmd_count)
-    p_table = _add_command(sub, "table", "emit a recomputed table")
-    p_table.set_defaults(handler=partial(_defined_table, p_table))
-
-    p_verify = sub.add_parser("verify", help="recompute fixtures and report discrepancies")
-    p_verify.add_argument(
-        "--scope", default="all", choices=("all", "xiangqi", "janggi", "combinatorics")
-    )
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_oracle = sub.add_parser("oracle", help="run one oracle")
-    p_oracle.add_argument("--target", required=True, choices=ORACLES)
-    p_oracle.add_argument("params", nargs="*", help="oracle arguments")
-    p_oracle.set_defaults(handler=partial(_cmd_oracle, p_oracle))
-    return parser
 
 
 def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -175,7 +113,7 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _fast_args(sys.argv[1:] if argv is None else argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = commands.build_parser(sys.modules[__name__]).parse_args(argv)
     # each command returns its output, so a reader that closes stdout early
     # (`| head`) cannot change the exit status
     output, status = args.handler(args)
@@ -188,8 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_count(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
-    pipeline = xiangqi if args.variant == "xiangqi" else janggi
-    terms = list(pipeline.grand_total_terms())
+    terms = list(PIPELINES[args.variant].grand_total_terms())
     total = sum(term for *_, term in terms)
     index_name = LISTS[args.variant][0]
     if args.format == "dec":
@@ -214,16 +151,6 @@ def _render(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     return json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
 
 
-def _defined_table(parser: argparse.ArgumentParser,
-                   args: argparse.Namespace) -> tuple[str, int]:
-    if args.table not in TABLES_BY_VARIANT[args.variant]:
-        parser.error(
-            f"table {args.table!r} is not defined for {args.variant}; "
-            f"valid: {', '.join(TABLES_BY_VARIANT[args.variant])}"
-        )
-    return _cmd_table(args)
-
-
 def _cmd_table(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
     if args.table == "geometry":
         return _render_geometry(args), 0
@@ -231,14 +158,19 @@ def _cmd_table(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
 
 
 def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]]]:
-    index_name, indices, positions, slist = LISTS[variant]
+    pipeline = PIPELINES[variant]
     if table_id in GRIDS:
-        cell, row_header, row_indices, prefix, col_indices = GRIDS[table_id]
+        form, row_header, row_range, prefix, col_range, column_first = GRIDS[table_id]
+        cell, row_indices, col_indices = (getattr(pipeline, name)
+                                          for name in (form, row_range, col_range))
         headers = [row_header] + [f"{prefix}{c}" for c in col_indices]
-        rows = [[str(r)] + [str(cell(r, c)) for c in col_indices] for r in row_indices]
+        rows = [[str(r)] + [str(cell(c, r) if column_first else cell(r, c)) for c in col_indices]
+                for r in row_indices]
         return headers, rows
+    index_name, indices, positions, slist = LISTS[variant]
     if table_id == "klist":
-        return [index_name, "count"], [[str(i), str(positions(i))] for i in indices]
+        count = getattr(pipeline, positions)
+        return [index_name, "count"], [[str(i), str(count(i))] for i in getattr(pipeline, indices)]
     if table_id == "slist":
         fam = fixtures.FAMILIES[slist]
         rows = []
@@ -255,7 +187,7 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
         headers = ["used_pieces"]
         camp = [(p, xiangqi.camp_by_piece_count(p)) for p in (5, 4, 3, 2, 1)]
     rows = [[str(v) for v in (*lead, *row.columns)] for *lead, row in camp]
-    return headers + CAMP_HEADERS, rows
+    return [*headers, *xiangqi.CAMP_HEADERS], rows
 
 
 def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:
@@ -278,33 +210,6 @@ def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:
             lines += [f"{player},{name},{site.file},{site.rank}"
                       for site in sorted(zone(args.variant, player, name))]
     return "\n".join(lines)
-
-
-def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    result = verify.run_verify(args.scope)
-    return verify.format_report(result), result.exit_code
-
-
-def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple[str, int]:
-    import inspect  # here, not at module level: it costs every CLI process start-up
-    function = getattr(oracle, args.target)
-    domains, render = ORACLES[args.target]
-    names = list(inspect.signature(function).parameters)
-    if len(args.params) != len(domains):
-        parser.error(f"oracle {args.target} takes ({', '.join(names)})")
-    params = []
-    for name, domain, raw in zip(names, domains, args.params):
-        accepted = {str(value): value for value in domain}
-        if raw not in accepted:
-            shown = f"{domain[0]}..{domain[-1]}" if isinstance(domain, range) else "|".join(domain)
-            parser.error(f"oracle {args.target}: {name} must be in {shown}, got {raw!r}")
-        params.append(accepted[raw])
-    started = time.perf_counter()
-    try:
-        output = render(function(*params))
-    except oracle.OracleBoundError as exc:
-        parser.error(str(exc))
-    return f"{output}\nwall_time_s={time.perf_counter() - started:.3f}", 0
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ MAX_SOLDIERS = 5
 MAX_PALACE_PIECES = 3  # king + up to two advisors
 HEAVY_PAIRS = 8  # two chariots, horses, elephants, cannons per player
 MAX_HOME_PIECES = MAX_PALACE_PIECES + MAX_SOLDIERS  # 8
+# index ranges of the home-zone grid: pieces in one home zone, opposing
+# soldiers held in reserve
+HOME_PIECES = range(1, MAX_HOME_PIECES + 1)
+SOLDIERS = range(MAX_SOLDIERS + 1)
 # light stage: 2..16 kings/advisors/soldiers on the board
 PIECES_RANGE = range(2, 2 * MAX_HOME_PIECES + 1)
 
@@ -70,9 +74,9 @@ def convolution_terms(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     n1, n2 are home-zone piece counts; k1, k2 are the players' soldiers on
     the middle ranks, placed sequentially on the shared 36 sites.
     """
-    for n1 in range(1, MAX_HOME_PIECES + 1):
-        for n2 in range(1, MAX_HOME_PIECES + 1):
-            for k1 in range(MAX_SOLDIERS + 1):
+    for n1 in HOME_PIECES:
+        for n2 in HOME_PIECES:
+            for k1 in SOLDIERS:
                 k2 = n - n1 - n2 - k1
                 if not 0 <= k2 <= MAX_SOLDIERS:
                     continue

@@ -14,8 +14,9 @@ zone, ``scan_positions``/``scan_total`` join two half scans, and
 calls nothing of the scan tier, so the two check each other.  Oracles
 import only the geometry and the ``CampClassRow`` record, never the closed
 forms; agreement between the two is the package's core correctness
-argument.  Parameter domains live in ``cli.ORACLES``; the functions keep
-only their tractability bounds (``OracleBoundError``).
+argument.  Parameter domains live in ``commands.ORACLES``, which takes the
+grid ranges from the closed-form modules; the functions keep only their
+tractability bounds (``OracleBoundError``).
 """
 from __future__ import annotations
 

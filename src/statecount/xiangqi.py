@@ -40,6 +40,16 @@ MIN_SIDE_BLANKS = HALF_SITES - MAX_CAMP_PIECES - MAX_SOLDIERS  # 35
 MAX_SIDE_BLANKS = HALF_SITES - 1  # 44: the king always occupies a site
 HEAVY_PAIRS = 6  # two chariots, horses, cannons per player
 BLANKS_RANGE = range(2 * MIN_SIDE_BLANKS, 2 * MAX_SIDE_BLANKS + 1)  # 70..88
+# index ranges of the half-board grids: blanks on one half, soldiers used or
+# held in reserve, and blank soldier sites with no, one or two elephants on
+# the shared sites (10, 9, 8)
+SIDE_BLANKS = range(MIN_SIDE_BLANKS, MAX_SIDE_BLANKS + 1)
+SOLDIERS = range(MAX_SOLDIERS + 1)
+BLANK_SOLDIER_SITES = range(len(SOLDIER_SITES), len(SOLDIER_SITES) - 3, -1)
+
+
+# the printed names of ``CampClassRow.columns``
+CAMP_HEADERS = ("total", "two_shared", "one_shared", "no_shared")
 
 
 class CampClassRow(NamedTuple):
@@ -125,9 +135,8 @@ def side_exact(blanks: int, soldiers_used: int) -> int:
         return 0
     row = camp_by_piece_count(pieces)
     return sum(
-        row.by_shared_elephants[shared]
-        * soldier_own_side(len(SOLDIER_SITES) - shared, soldiers_used)
-        for shared in range(3)
+        ways * soldier_own_side(blank, soldiers_used)
+        for ways, blank in zip(row.by_shared_elephants, BLANK_SOLDIER_SITES)
     )
 
 
@@ -148,9 +157,9 @@ def convolution_terms(x: int) -> Iterator[tuple[int, int, int, int, int]]:
     The feasibility bounds (n - k >= 35 etc.) hold automatically because
     ``side_reserve`` is 0 outside them.
     """
-    for n1 in range(MIN_SIDE_BLANKS, MAX_SIDE_BLANKS + 1):
-        for n2 in range(MIN_SIDE_BLANKS, MAX_SIDE_BLANKS + 1):
-            for k1 in range(MAX_SOLDIERS + 1):
+    for n1 in SIDE_BLANKS:
+        for n2 in SIDE_BLANKS:
+            for k1 in SOLDIERS:
                 k2 = n1 + n2 - k1 - x
                 if not 0 <= k2 <= MAX_SOLDIERS:
                     continue

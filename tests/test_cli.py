@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from statecount import fixtures, oracle, verify
-from statecount.cli import (GRIDS, OPTIONS, ORACLES, TABLES_BY_VARIANT, _fast_args,
-                            build_parser, main)
+from statecount import cli, fixtures, oracle, verify
+from statecount.cli import GRIDS, OPTIONS, TABLES_BY_VARIANT, _fast_args, main
+from statecount.commands import ORACLES, build_parser
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
 
@@ -189,7 +189,7 @@ def test_fast_path_parses_as_argparse_does():
     """The fast path takes exactly the canonical ``count``/``table`` argvs, every
     required option given once with a valid choice and the table defined for
     the variant, and parses each as argparse does; it takes no other argv."""
-    parser = build_parser()
+    parser = build_parser(cli)
     canonical, other = [], []
     for argv in _option_argvs():
         given = dict(zip(argv[1::2], argv[2::2]))
@@ -367,41 +367,72 @@ def test_closed_stdout_keeps_a_mismatch_status(monkeypatch):
 
 def test_import_loads_every_module_without_record_machinery():
     """``import statecount.cli`` puts every module in ``sys.modules``, which
-    the bench tracer relies on, and loads neither ``dataclasses`` nor
-    ``inspect``, nor ``argparse`` with the ``gettext`` and ``locale`` it loads.
-    ``count`` and every table but ``slist`` then run without running the bodies
-    of the deferred ``oracle``, ``fixtures`` and ``verify``, and no ``count``
-    or ``table`` call loads ``argparse``: each of these would cost every such
-    process start-up."""
-    proc = _python("-c", textwrap.dedent("""\
+    the bench tracer relies on, and runs only ``geometry``: every other module
+    is deferred and registered ahead of it, so the tracer's walk over
+    ``sys.modules`` runs each deferred body before it patches anything.  The
+    import loads neither ``dataclasses`` nor ``inspect``, nor ``argparse`` with
+    the ``gettext`` and ``locale`` it loads.  ``count`` and every table of one
+    variant but ``slist`` then run that variant's closed forms alone, never the
+    other variant's, ``oracle``, ``fixtures`` or ``verify``; no ``count`` or
+    ``table`` call, ``slist`` included, runs ``commands`` or loads
+    ``argparse``: each of these would cost every such process start-up."""
+    script = textwrap.dedent("""\
         import json, sys, types
         before = set(sys.modules)
         import statecount.cli as cli
-        loaded = sorted(set(sys.modules) - before)
+        loaded = [name for name in sys.modules if name not in before]
+        def ran():
+            return sorted(name for name in loaded if name.startswith("statecount.")
+                          and type(sys.modules[name]) is types.ModuleType)
+        record = {"loaded": loaded, "imported": ran()}
+        variant = sys.argv[1]
         for slist in (False, True):
-            for variant, tables in cli.TABLES_BY_VARIANT.items():
-                for fmt in cli.OPTIONS["count"]["--format"] * (not slist):
-                    cli.main(["count", "--variant", variant, "--format", fmt])
-                for table in tables:
-                    for fmt in cli.OPTIONS["table"]["--format"] * ((table == "slist") == slist):
-                        cli.main(["table", "--variant", variant, "--table", table,
-                                  "--format", fmt])
-            if not slist:
-                ran = [name for name in ("oracle", "fixtures", "verify")
-                       if type(sys.modules[f"statecount.{name}"]) is types.ModuleType]
-        called = sorted(set(sys.modules) - before)
-        print(json.dumps({"loaded": loaded, "ran": ran, "called": called}))"""))
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
-    record = json.loads(out.splitlines()[-1])
-    loaded = set(record["loaded"])
+            for fmt in cli.OPTIONS["count"]["--format"] * (not slist):
+                cli.main(["count", "--variant", variant, "--format", fmt])
+            for table in cli.TABLES_BY_VARIANT[variant]:
+                for fmt in cli.OPTIONS["table"]["--format"] * ((table == "slist") == slist):
+                    cli.main(["table", "--variant", variant, "--table", table,
+                              "--format", fmt])
+            record["slist" if slist else "called"] = ran()
+        record["after"] = sorted(set(sys.modules) - before)
+        print(json.dumps(record))""")
     modules = {f"statecount.{path.stem}" for path in (REPO / "src/statecount").glob("*.py")
                if path.stem != "__init__"}
-    assert len(modules) == 8
-    assert modules <= loaded
-    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & loaded
-    assert record["ran"] == []
-    assert not {"argparse", "gettext", "locale"} & set(record["called"])
+    assert len(modules) == 9
+    for variant in TABLES_BY_VARIANT:
+        proc = _python("-c", script, variant)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        record = json.loads(out.splitlines()[-1])
+        assert modules <= set(record["loaded"])
+        assert record["imported"] == ["statecount.cli", "statecount.geometry"]
+        order = [name for name in record["loaded"] if name in modules]
+        assert set(order[:order.index("statecount.geometry")]) == modules - set(
+            record["imported"])
+        assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(
+            record["loaded"])
+        assert record["called"] == sorted({"statecount.cli", "statecount.geometry",
+                                           "statecount.combinatorics", f"statecount.{variant}"})
+        assert "statecount.commands" not in record["slist"]
+        assert not {"argparse", "gettext", "locale"} & set(record["after"])
+
+
+def test_argparse_path_runs_no_second_copy_of_cli():
+    """Under ``python -m statecount.cli`` the module runs as ``__main__``.  The
+    argparse path (``commands``) is handed that module rather than importing
+    it, so ``verify`` leaves no ``statecount.cli``, which would be a second
+    copy of it, with its own deferred modules and options."""
+    proc = _python("-c", textwrap.dedent("""\
+        import runpy, sys, types
+        sys.argv = ["statecount", "verify", "--scope", "janggi"]
+        try:
+            runpy.run_module("statecount.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            commands = sys.modules["statecount.commands"]
+            print(stop.code, type(commands) is types.ModuleType, "statecount.cli" in sys.modules)"""))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.splitlines()[-1] == "0 True False"
 
 
 def test_dec_and_csv_output_do_not_load_json():

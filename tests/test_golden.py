@@ -7,7 +7,8 @@ change of output.
 import hashlib
 from itertools import product
 
-from statecount.cli import ORACLES, main
+from statecount.cli import main
+from statecount.commands import ORACLES
 from statecount.verify import format_report
 
 REPORT_SHA256 = "d1197d34b628a33b6aab66f821f7de18268605bb6531fd2c0355b8ad2c0c0337"
