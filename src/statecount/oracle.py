@@ -3,8 +3,9 @@
 Two tiers of oracles count every published value again.  The brute-force
 tier, ``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
 ``enum_positions_small``, enumerates concrete placements with no shortcuts
-beyond zone membership, so it is auditable by eye.  All but the pair fill
-walk ``_subsets``, the subsets of a zone's free sites up to a size bound:
+beyond zone membership, so it is auditable by eye.  The pair fill draws
+every sequence and judges each distinct sorted copy once.  The others walk
+``_subsets``, the subsets of a zone's free sites up to a size bound:
 ``_camps`` walks a king with its advisors and elephants, and
 ``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The site-scan tier
 visits the board site by site: the grid oracles ``enum_side_exact_xq``,
@@ -174,9 +175,10 @@ def enum_pair_fill(m: int, n: int) -> int:
 
     Enumerates all m^n sequences, so the bound is m^n <= 20 million.  For
     the pair counts verify uses, that covers n <= 9 at m = 6 (Xiangqi) and
-    n <= 8 at m = 8 (Janggi).  Each sequence is judged on its sorted copy:
-    a symbol used three times fills three consecutive places there, so the
-    sequence passes when no place equals the one two further on.
+    n <= 8 at m = 8 (Janggi).  Each sequence's sorted copy is counted, and
+    each distinct copy is judged once: a symbol used three times fills three
+    consecutive places there, so the copy passes when no place equals the
+    one two further on, and adds the number of sequences that share it.
     """
     if n < 0 or m < 0:
         return 0
@@ -185,12 +187,8 @@ def enum_pair_fill(m: int, n: int) -> int:
             f"enum_pair_fill({m}, {n}) needs {m ** n} sequences; "
             f"bound is {PAIR_FILL_MAX_SEQUENCES}"
         )
-    count = 0
-    for seq in product(range(m), repeat=n):
-        ordered = sorted(seq)
-        if all(map(ne, ordered, ordered[2:])):
-            count += 1
-    return count
+    copies = Counter(map(tuple, map(sorted, product(range(m), repeat=n))))
+    return sum(ways for copy, ways in copies.items() if all(map(ne, copy, copy[2:])))
 
 
 def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:

@@ -2,12 +2,15 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see every line.
 
-Three assertions are expected failures (strict xfail): the published
+Four assertions are expected failures (strict xfail).  The published
 light-stage list, the published Xiangqi grand total, and the published
 Janggi grand total cannot be reproduced because the print disagrees with
 its own construction (see the discrepancy report: every deviation is
-oracle-adjudicated).  The assertions are kept verbatim so they will flag
-loudly (XPASS) if the package ever stops disagreeing with the print.
+oracle-adjudicated).  The fourth, ``test_c11_divergence_exits_nonzero``,
+asks verify to exit 1 on the Janggi total; it exits 0 because that
+divergence is adjudicated as a confirmed print error.  The assertions are
+kept verbatim so they will flag loudly (XPASS) if the package ever stops
+disagreeing with the print.
 """
 import time
 

@@ -128,6 +128,21 @@ class TestPairFillOracle:
         assert enum_pair_fill(4, 6) == count_pair_fill(4, 6)
         assert len(drawn) == len(set(drawn)) == 4 ** 6
 
+    def test_counts_each_drawn_sequence_on_its_sorted_copy(self, monkeypatch):
+        """A fixed draw: each valid sequence counts once per time it is
+        drawn.  Comparing unsorted places, or counting a sorted copy once
+        however many sequences share it, gives another total."""
+        drawn = [
+            (0, 1, 0, 2, 0),  # one symbol thrice, never adjacent: invalid
+            (1, 0, 0, 1),     # two doubles: valid
+            (0, 1, 1, 0),     # the same sorted copy: valid
+            (1, 0, 0, 1),     # drawn again: valid
+            (2, 0, 1, 3),     # all distinct: valid
+            (0, 1, 0),        # a double two places apart: valid
+        ]
+        monkeypatch.setattr(oracle, "product", lambda *args, **kwargs: iter(drawn))
+        assert enum_pair_fill(4, 5) == 5
+
     def test_bound_error_states_the_bound(self):
         with pytest.raises(OracleBoundError, match="20000000"):
             enum_pair_fill(8, 12)

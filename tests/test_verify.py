@@ -1,7 +1,7 @@
 """The discrepancy engine: verdicts, evidence, exit codes."""
 import pytest
 
-from statecount import verify, xiangqi
+from statecount import oracle, verify, xiangqi
 from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixture, fixtures_for_scope
 from statecount.verify import (
     MATCH,
@@ -196,6 +196,18 @@ class TestScopesAndFormat:
         ids = {r.quantity_id for r in result.rows}
         assert all(i.startswith(("xq.dlist", "jg.slist")) for i in ids)
         assert not result.geometry_checks
+
+    def test_pair_fill_brute_force_rows(self, monkeypatch):
+        """The brute force runs on every pair-fill row within its budget:
+        m = 6 up to n = 8 and m = 8 up to n = 7."""
+        rows = []
+
+        def recorder(m, n):
+            rows.append((m, n))
+            return oracle.count_pair_fill(m, n)
+        monkeypatch.setattr(oracle, "enum_pair_fill", recorder)
+        assert run_verify("combinatorics").exit_code == 0
+        assert sorted(rows) == [(6, n) for n in range(9)] + [(8, n) for n in range(8)]
 
     def test_report_is_deterministic(self, full_verify):
         assert format_report(full_verify) == format_report(full_verify)
