@@ -13,17 +13,13 @@ from functools import lru_cache
 def binom(n: int, k: int) -> int:
     """C(n, k), returning 0 outside the domain instead of raising.
 
-    Out-of-range arguments (k < 0, k > n, n < 0) yield 0 so that convolution
-    loops can iterate rectangular index ranges without edge-case guards.
+    ``math.comb`` already gives 0 for k > n; only the negative arguments it
+    rejects need a guard.  Convolution loops can therefore iterate
+    rectangular index ranges without edge-case guards.
     """
-    if n < 0 or k < 0 or k > n:
+    if n < 0 or k < 0:
         return 0
     return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -38,14 +34,8 @@ def pair_fill_count(m: int, n: int) -> int:
 
     The i-th summand picks which pairs are used twice, which of the remaining
     pairs supply a single piece, and arranges all n pieces on the n sites
-    (dividing by 2 per doubled pair).  Returns 0 when n > 2m or n < 0.
+    (dividing by 2 per doubled pair).  The sum is total: for n > 2m every
+    term has a ``binom`` factor of 0, and for n < 0 it is empty.
     """
-    if n < 0 or n > 2 * m:
-        return 0
-    total = 0
-    for i in range(n // 2 + 1):
-        singles = n - 2 * i
-        if singles > m - i:
-            continue
-        total += binom(m, i) * binom(m - i, singles) * factorial(n) // (2 ** i)
-    return total
+    return sum(binom(m, i) * binom(m - i, n - 2 * i) * math.factorial(n) // 2 ** i
+               for i in range(n // 2 + 1))

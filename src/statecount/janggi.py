@@ -58,7 +58,7 @@ def jg_home_count(n: int, k: int) -> int:
     total = 0
     for palace_pieces in range(1, MAX_PALACE_PIECES + 1):
         soldiers = n - palace_pieces
-        if not (0 <= soldiers <= MAX_SOLDIERS):
+        if soldiers > MAX_SOLDIERS:  # binom would still count a sixth soldier
             continue
         if MAX_SOLDIERS - soldiers < k:
             continue

@@ -113,14 +113,14 @@ def soldier_own_side(blank_soldier_sites: int, soldiers: int) -> int:
 
     Each of the five files offers two ranks, except files whose fifth-rank
     site is occupied by an own elephant (10 - blank_soldier_sites of them),
-    which offer one.
+    which offer one.  Summed over the soldiers on two-rank files: a split
+    that does not fit has a ``binom`` factor of 0, and a negative count
+    gives an empty sum.
     """
     blocked = len(SOLDIER_SITES) - blank_soldier_sites
     free_files = len({s.file for s in SOLDIER_SITES}) - blocked
-    total = 0
-    for in_free in range(max(0, soldiers - blocked), min(free_files, soldiers) + 1):
-        total += binom(free_files, in_free) * 2 ** in_free * binom(blocked, soldiers - in_free)
-    return total
+    return sum(binom(free_files, in_free) * 2 ** in_free * binom(blocked, soldiers - in_free)
+               for in_free in range(soldiers + 1))
 
 
 @lru_cache(maxsize=None)
@@ -128,12 +128,10 @@ def side_exact(blanks: int, soldiers_used: int) -> int:
     """One side's arrangements with exactly these blanks and soldiers.
 
     Camp piece count follows from blanks: pieces = 45 - blanks - soldiers.
-    Returns 0 for infeasible combinations.
+    Infeasible input gives 0: no camp row holds pieces outside 1..5, and no
+    own-side placement holds soldiers outside 0..5.
     """
-    pieces = HALF_SITES - blanks - soldiers_used
-    if not (1 <= pieces <= MAX_CAMP_PIECES) or not (0 <= soldiers_used <= MAX_SOLDIERS):
-        return 0
-    row = camp_by_piece_count(pieces)
+    row = camp_by_piece_count(HALF_SITES - blanks - soldiers_used)
     return sum(
         ways * soldier_own_side(blank, soldiers_used)
         for ways, blank in zip(row.by_shared_elephants, BLANK_SOLDIER_SITES)
@@ -143,9 +141,12 @@ def side_exact(blanks: int, soldiers_used: int) -> int:
 @lru_cache(maxsize=None)
 def side_reserve(blanks: int, reserve: int) -> int:
     """Arrangements with the given blanks and at least ``reserve`` soldiers
-    left unplaced on the own half (available to cross the river)."""
-    if not (MIN_SIDE_BLANKS <= blanks <= MAX_SIDE_BLANKS) or not (0 <= reserve <= MAX_SOLDIERS):
-        return 0
+    left unplaced on the own half (available to cross the river).
+
+    Blanks outside 35..44 give 0 through ``side_exact`` and a reserve above
+    five an empty sum; a negative reserve counts every arrangement, as
+    ``enum_side_xq`` does.
+    """
     return sum(side_exact(blanks, s) for s in range(MAX_SOLDIERS - reserve + 1))
 
 

@@ -1,10 +1,10 @@
 """Exact-arithmetic primitives against first-principles recomputation."""
 from itertools import combinations, product
-from math import factorial as math_factorial
+from math import factorial
 
 import pytest
 
-from statecount.combinatorics import binom, factorial, pair_fill_count
+from statecount.combinatorics import binom, pair_fill_count
 
 from frozen import TRUE_JG_SLIST
 
@@ -42,17 +42,6 @@ class TestBinom:
                 assert binom(n, k) == binom(n, n - k)
 
 
-class TestFactorial:
-    def test_identity(self):
-        assert factorial(0) == 1
-
-    def test_small(self):
-        assert factorial(5) == 120
-
-    def test_twelve_via_binomial_split(self):
-        assert factorial(12) == binom(12, 6) * factorial(6) * factorial(6) == 479001600
-
-
 class TestPairFillCount:
     @pytest.mark.parametrize("n,expected", [
         (0, 1), (1, 6), (2, 36), (3, 210), (4, 1170), (5, 6120), (6, 29520),
@@ -78,7 +67,7 @@ class TestPairFillCount:
 
     def test_all_sites_filled(self):
         for m in range(0, 9):
-            assert pair_fill_count(m, 2 * m) == math_factorial(2 * m) // 2 ** m
+            assert pair_fill_count(m, 2 * m) == factorial(2 * m) // 2 ** m
 
     def test_degenerate_sites(self):
         for m in range(1, 9):

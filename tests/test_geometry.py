@@ -98,12 +98,25 @@ class TestValidateGeometry:
         checks = validate_geometry(variant)
         assert checks and all(c.passed for c in checks)
 
-    def test_corrupted_elephant_set_fails_overlap(self):
-        bad = frozenset({Site(3, 1), Site(7, 1), Site(1, 3), Site(5, 3),
-                         Site(9, 3), Site(3, 5), Site(7, 4)})
-        checks = validate_geometry("xiangqi", zones={"elephant_sites": bad})
-        failed = {c.check_id for c in checks if not c.passed}
-        assert "elephant*soldier=2:rank5,files3+7" in failed
+    @pytest.mark.parametrize("name,bad,check_id", [
+        ("elephant_sites",
+         {Site(3, 1), Site(7, 1), Site(1, 3), Site(5, 3), Site(9, 3), Site(3, 5), Site(7, 4)},
+         "elephant*soldier=2:rank5,files3+7"),
+        # right files, wrong ranks: only the rank half of the layout check fails
+        ("soldier_own_side_sites",
+         {Site(f, r) for f in (1, 3, 5, 7, 9) for r in (5, 6)},
+         "soldier.files=odd,ranks4-5"),
+    ], ids=["elephant", "soldier"])
+    def test_corrupted_set_fails_its_check(self, name, bad, check_id):
+        checks = validate_geometry("xiangqi", zones={name: frozenset(bad)})
+        assert {c.check_id for c in checks if not c.passed} == {check_id}
+
+    @pytest.mark.parametrize("variant,name", [
+        (variant, name) for variant in ("xiangqi", "janggi") for name in zone_names(variant)])
+    def test_injected_zone_gets_no_mirror_check(self, variant, name):
+        checks = validate_geometry(variant, zones={name: zone(variant, "A", name)})
+        assert {c.check_id for c in checks if c.check_id.startswith("mirror[")} == {
+            f"mirror[{other}]" for other in zone_names(variant) if other != name}
 
     def test_corruption_is_data_not_exception(self):
         checks = validate_geometry("xiangqi", zones={"advisor_sites": frozenset()})

@@ -25,6 +25,7 @@ from statecount.oracle import (
 )
 from statecount.xiangqi import (
     camp_classes,
+    side_exact,
     side_reserve,
     soldier_own_side,
     xq_grand_total,
@@ -54,7 +55,7 @@ class TestSoldierOracle:
 
     def test_full_domain_equality(self):
         for blocked in range(3):
-            for soldiers in range(6):
+            for soldiers in range(-2, 9):
                 assert enum_soldiers_xq(blocked, soldiers) == soldier_own_side(
                     10 - blocked, soldiers
                 )
@@ -80,9 +81,12 @@ class TestSideOracle:
             assert bounded == Counter({(blanks, soldiers): ways
                                        for (blanks, soldiers), ways in placements.items()
                                        if 45 - blanks <= most + 1})
-        for blanks in range(35, 45):
-            for reserve in range(6):
-                assert enum_side_xq(blanks, reserve) == side_reserve(blanks, reserve)
+        # off the grid too: both sides give 0 there, or, for a negative
+        # reserve, every arrangement
+        for blanks in range(30, 50):
+            for k in range(-2, 8):
+                assert enum_side_xq(blanks, k) == side_reserve(blanks, k)
+                assert enum_side_exact_xq(blanks, k) == side_exact(blanks, k)
 
 
 class TestHomeOracle:
@@ -92,8 +96,8 @@ class TestHomeOracle:
         assert enum_home_jg(8, 1) == 0
 
     def test_full_domain_equality(self):
-        for n in range(1, 9):
-            for k in range(6):
+        for n in range(-1, 12):
+            for k in range(-2, 8):
                 assert enum_home_jg(n, k) == jg_home_count(n, k)
 
 
@@ -108,7 +112,7 @@ class TestPairFillOracle:
             for n in range(9):
                 assert enum_pair_fill(m, n) == pair_fill_count(m, n) == count_pair_fill(m, n)
         for m in range(9):
-            for n in range(17):
+            for n in range(-2, 21):
                 assert count_pair_fill(m, n) == pair_fill_count(m, n)
 
     def test_eight_pair_disputed_entries(self):
