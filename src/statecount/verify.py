@@ -8,7 +8,9 @@ closed forms.  Verdicts:
   the build, not the source, and fails the run.
 * ``match`` — recomputed value equals the printed value.
 * ``paper-typo-confirmed`` — the values differ, and the oracle agrees with
-  the recomputation, so the printed value is the erroneous one.
+  the recomputation, so the printed value is the erroneous one.  A grand
+  total's note says whether the sum of K(i) * C(free(i), y) * T(y) over its
+  printed light-stage list K and pair-fill list T gives the printed total.
 
 The exit contract: 0 when no row is a mismatch and all geometry checks
 pass, 1 otherwise.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import janggi, xiangqi
-from .combinatorics import binom, pair_fill_count
+from .combinatorics import binom
 from .fixtures import FAMILIES, ReferenceFixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
@@ -63,16 +65,11 @@ def oracle_quantity(fx: ReferenceFixture) -> int:
     return fx.family.oracle(*fx.key)
 
 
-def _xq_total_attributed(printed_total: int) -> bool:
-    """Does the printed grand total equal the printed light-stage list folded
-    through the heavy stage?  If so the total's error is inherited."""
-    printed_k = FAMILIES["xq.klist"].values
-    pairs = xiangqi.HEAVY_PAIRS
-    derived = sum(
-        printed_k[(x,)] * binom(x, y) * pair_fill_count(pairs, y)
-        for x in xiangqi.BLANKS_RANGE for y in range(2 * pairs + 1)
-    )
-    return derived == printed_total
+# grand total: (variant module, K family, T family, free sites at index i)
+_TOTALS = {
+    "xq.total": (xiangqi, "xq.klist", "xq.dlist", lambda x: x),
+    "jg.total": (janggi, "jg.klist", "jg.slist", lambda n: janggi.BOARD_SITES - n),
+}
 
 
 def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[str, str]:
@@ -80,27 +77,30 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
     if computed == fx.paper_value:
         return MATCH, ""
-    if fx.family.name == "xq.total" and _xq_total_attributed(fx.paper_value):
+    if fx.family.name not in _TOTALS:
+        return TYPO, "the oracle confirms the recomputed value"
+    _, klist, tlist, free = _TOTALS[fx.family.name]
+    if fx.paper_value == sum(k * binom(free(i), y) * t
+                             for (i,), k in FAMILIES[klist].values.items()
+                             for (y,), t in FAMILIES[tlist].values.items()):
         return TYPO, ("printed total equals the printed light-stage list folded "
                       "through the heavy stage, so it inherits that list's "
                       "confirmed errors; recomputation uses the corrected list")
-    if fx.family.name == "jg.total":
-        return TYPO, ("printed total matches no reconstruction from the source's "
-                      "own printed components")
-    return TYPO, "the oracle confirms the recomputed value"
+    return TYPO, ("printed total matches no reconstruction from the source's "
+                  "own printed components")
 
 
 def run_verify(scope: str = "all",
                fixtures: list[ReferenceFixture] | None = None) -> VerifyResult:
     """Recompute every fixture in scope, oracle-check it, and adjudicate.
 
-    A fixture whose key is not one its family prints is refused up front
-    (``ValueError``): outside the printed keys a family's oracle need not
-    agree with its closed form, so such a row could read as a build defect
-    or as a confirmed typo.
+    An unknown scope is refused up front (``ValueError``), as is a fixture
+    whose key is not one its family prints: outside the printed keys a
+    family's oracle need not agree with its closed form, so such a row could
+    read as a build defect or as a confirmed typo.
     """
-    if fixtures is None:
-        fixtures = fixtures_for_scope(scope)
+    in_scope = fixtures_for_scope(scope)
+    fixtures = in_scope if fixtures is None else fixtures
     for fx in fixtures:
         if fx.key not in fx.family.values:
             raise ValueError(f"{fx.quantity_id}: key {fx.key} is not a printed "
@@ -120,10 +120,9 @@ def run_verify(scope: str = "all",
         rows.append(ReportRow(
             fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
         ))
-        if verdict != MATCH and fx.family.name in ("xq.total", "jg.total"):
-            terms = (xiangqi.grand_total_terms() if fx.family.name == "xq.total"
-                     else janggi.grand_total_terms())
-            breakdowns[fx.quantity_id] = list(terms)
+        if verdict != MATCH and fx.family.name in _TOTALS:
+            module = _TOTALS[fx.family.name][0]
+            breakdowns[fx.quantity_id] = list(module.grand_total_terms())
     return VerifyResult(geometry_checks, rows, breakdowns)
 
 

@@ -82,9 +82,38 @@ class TestDisputedEntries:
         assert "inherit" in self._row(full_verify, "xq.total").note
         assert "reconstruction" in self._row(full_verify, "jg.total").note
 
-    def test_total_note_does_not_depend_on_the_fixtures_run(self, full_verify):
+    @pytest.mark.parametrize("quantity_id", ["xq.total", "jg.total"])
+    def test_total_note_does_not_depend_on_the_fixtures_run(self, full_verify,
+                                                             quantity_id):
+        fx = fixture(quantity_id)
+        result = run_verify(fx.family.scope, fixtures=[fx])
+        (row,) = result.rows
+        assert row == self._row(full_verify, quantity_id)
+        assert result.breakdowns == {quantity_id: full_verify.breakdowns[quantity_id]}
+
+
+# sum K(n) * C(90 - n, y) * S(y) over the printed Janggi lists (46 digits,
+# against the printed 45-digit total)
+JG_PRINTED_FOLD = 1404897579419317395219617254586030564877191940
+
+
+class TestTotalNotes:
+    """A total's note is computed from its printed components, never from its
+    family name: each proof below flips a note by changing printed data."""
+
+    def test_a_total_equal_to_its_printed_fold_inherits(self):
+        printed_fold = fixture("jg.total")._replace(paper_value=JG_PRINTED_FOLD)
+        (row,) = run_verify("janggi", fixtures=[printed_fold]).rows
+        assert row.verdict == TYPO
+        assert "inherits that list's confirmed errors" in row.note
+
+    def test_a_perturbed_printed_list_leaves_no_reconstruction(self, monkeypatch):
+        klist = FAMILIES["xq.klist"].values
+        monkeypatch.setitem(klist, (86,), klist[(86,)] + 1)
         (row,) = run_verify("xiangqi", fixtures=[fixture("xq.total")]).rows
-        assert row == self._row(full_verify, "xq.total")
+        assert row.verdict == TYPO
+        assert row.note == ("printed total matches no reconstruction from the "
+                            "source's own printed components")
 
 
 class TestBreakdowns:
@@ -173,6 +202,27 @@ def test_unprinted_key_is_refused_before_any_count(key, monkeypatch):
         key=(key,), family=family._replace(compute=never, oracle=never))
     with pytest.raises(ValueError, match=rf"jg\.palace\.{key}\b.*jg\.palace"):
         run_verify("janggi", fixtures=[rekeyed])
+
+
+def test_unknown_scope_is_refused_before_any_count(monkeypatch):
+    """A scope is checked even when the fixtures are handed in, by one call
+    of ``fixtures_for_scope``, before any closed form, oracle or geometry
+    check runs."""
+    def never(*_):
+        raise AssertionError("counted under an unknown scope")
+    scoped = []
+
+    def recorder(scope):
+        scoped.append(scope)
+        return fixtures_for_scope(scope)
+    monkeypatch.setattr(verify, "validate_geometry", never)
+    monkeypatch.setattr(verify, "fixtures_for_scope", recorder)
+    family = FAMILIES["jg.palace"]
+    palace = fixture("jg.palace.0")._replace(
+        family=family._replace(compute=never, oracle=never))
+    with pytest.raises(ValueError, match="unknown scope 'bogus'"):
+        run_verify("bogus", fixtures=[palace])
+    assert scoped == ["bogus"]
 
 
 class TestScopesAndFormat:
