@@ -17,7 +17,7 @@ king/advisors plus the *opponent's* soldiers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .combinatorics import binom, pair_fill_count
 from .geometry import board_sites, zone
@@ -96,21 +96,18 @@ def jg_positions(n: int) -> int:
     return sum(value for *_, value in convolution_terms(n))
 
 
-def grand_total_terms(
-    positions: Callable[[int], int] | None = None,
-) -> Iterator[tuple[int, int, int]]:
+def grand_total_terms() -> Iterator[tuple[int, int, int]]:
     """(n, y, term) triples of the heavy-piece stage.
 
     n = light pieces placed, so 90 - n sites remain; y of them receive
     heavy pieces.
     """
-    pos = positions if positions is not None else jg_positions
     for n in PIECES_RANGE:
-        pn = pos(n)
+        pn = jg_positions(n)
         for y in range(2 * HEAVY_PAIRS + 1):
             yield n, y, pn * binom(BOARD_SITES - n, y) * pair_fill_count(HEAVY_PAIRS, y)
 
 
-def jg_grand_total(positions: Callable[[int], int] | None = None) -> int:
+def jg_grand_total() -> int:
     """The state-space count: light-stage positions times heavy-piece fills."""
-    return sum(term for _, _, term in grand_total_terms(positions))
+    return sum(term for _, _, term in grand_total_terms())

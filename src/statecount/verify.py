@@ -90,21 +90,14 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
                   "own printed components")
 
 
-def run_verify(scope: str = "all",
-               fixtures: list[ReferenceFixture] | None = None) -> VerifyResult:
+def run_verify(scope: str = "all") -> VerifyResult:
     """Recompute every fixture in scope, oracle-check it, and adjudicate.
 
-    An unknown scope is refused up front (``ValueError``), as is a fixture
-    whose key is not one its family prints: outside the printed keys a
-    family's oracle need not agree with its closed form, so such a row could
-    read as a build defect or as a confirmed typo.
+    The fixtures come from ``fixtures_for_scope``, so each key is one its
+    family prints, and an unknown scope is refused there (``ValueError``)
+    before any count.
     """
-    in_scope = fixtures_for_scope(scope)
-    fixtures = in_scope if fixtures is None else fixtures
-    for fx in fixtures:
-        if fx.key not in fx.family.values:
-            raise ValueError(f"{fx.quantity_id}: key {fx.key} is not a printed "
-                             f"key of family {fx.family.name}")
+    fixtures = fixtures_for_scope(scope)
     geometry_checks: list[GeometryCheck] = []
     if scope in ("all", "xiangqi"):
         geometry_checks += validate_geometry("xiangqi")

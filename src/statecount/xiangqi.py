@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .combinatorics import binom, pair_fill_count
 from .geometry import zone
@@ -180,23 +180,17 @@ def xq_positions(x: int) -> int:
     return sum(value for *_, value in convolution_terms(x))
 
 
-def grand_total_terms(
-    positions: Callable[[int], int] | None = None,
-) -> Iterator[tuple[int, int, int]]:
+def grand_total_terms() -> Iterator[tuple[int, int, int]]:
     """(x, y, term) triples of the heavy-piece stage.
 
     x = blanks after the light stage, y = heavy pieces placed on them.
     """
-    pos = positions if positions is not None else xq_positions
     for x in BLANKS_RANGE:
-        px = pos(x)
+        px = xq_positions(x)
         for y in range(2 * HEAVY_PAIRS + 1):
             yield x, y, px * binom(x, y) * pair_fill_count(HEAVY_PAIRS, y)
 
 
-def xq_grand_total(positions: Callable[[int], int] | None = None) -> int:
-    """The state-space count: light-stage positions times heavy-piece fills.
-
-    ``positions`` may be overridden (e.g. with a zero table) for testing.
-    """
-    return sum(term for _, _, term in grand_total_terms(positions))
+def xq_grand_total() -> int:
+    """The state-space count: light-stage positions times heavy-piece fills."""
+    return sum(term for _, _, term in grand_total_terms())

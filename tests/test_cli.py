@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from statecount import cli, fixtures, oracle, verify
+from statecount import cli, fixtures, janggi, oracle, verify, xiangqi
 from statecount.cli import GRIDS, OPTIONS, TABLES_BY_VARIANT, _fast_args, main
 from statecount.commands import ORACLES, build_parser
 from statecount.janggi import jg_home_count
@@ -107,6 +107,22 @@ class TestTable:
         record = json.loads(out)
         assert len(record["zones"]["A"]["elephant_sites"]) == 7
         assert len(record["zones"]["B"]["soldier_own_side_sites"]) == 10
+
+    def test_a_rebound_closed_form_is_seen_by_every_cell(self, capsys, monkeypatch):
+        """cli looks each closed form up on its module at call time."""
+        monkeypatch.setattr(janggi, "jg_home_count", lambda n, k: 10 * n + k)
+        code, out = run_cli(capsys, "table", "--variant", "janggi", "--table", "t6")
+        header, *lines = [line.split(",") for line in out.strip().splitlines()]
+        reserves = [int(h.removeprefix("reserve_")) for h in header[1:]]
+        assert code == 0 and len(lines) == 8
+        for n, *cells in lines:
+            assert [int(c) for c in cells] == [10 * int(n) + k for k in reserves]
+
+        monkeypatch.setattr(xiangqi, "xq_positions", lambda x: 0)
+        assert run_cli(capsys, "count", "--variant", "xiangqi") == (0, "0\n")
+        code, out = run_cli(capsys, "table", "--variant", "xiangqi", "--table", "klist")
+        counts = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
+        assert code == 0 and counts == ["0"] * 19
 
     def test_deterministic_output(self, capsys):
         _, first = run_cli(capsys, "table", "--variant", "xiangqi", "--table", "t5")

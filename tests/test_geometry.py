@@ -1,6 +1,7 @@
 """Zone sets and their runtime validation."""
 import pytest
 
+from statecount import geometry
 from statecount.geometry import (
     Site,
     board_sites,
@@ -98,26 +99,30 @@ class TestValidateGeometry:
         checks = validate_geometry(variant)
         assert checks and all(c.passed for c in checks)
 
-    @pytest.mark.parametrize("name,bad,check_id", [
-        ("elephant_sites",
+    @pytest.mark.parametrize("variant,name,bad,check_ids", [
+        ("xiangqi", "elephant_sites",
          {Site(3, 1), Site(7, 1), Site(1, 3), Site(5, 3), Site(9, 3), Site(3, 5), Site(7, 4)},
-         "elephant*soldier=2:rank5,files3+7"),
+         {"elephant*soldier=2:rank5,files3+7"}),
         # right files, wrong ranks: only the rank half of the layout check fails
-        ("soldier_own_side_sites",
+        ("xiangqi", "soldier_own_side_sites",
          {Site(f, r) for f in (1, 3, 5, 7, 9) for r in (5, 6)},
-         "soldier.files=odd,ranks4-5"),
-    ], ids=["elephant", "soldier"])
-    def test_corrupted_set_fails_its_check(self, name, bad, check_id):
-        checks = validate_geometry("xiangqi", zones={name: frozenset(bad)})
-        assert {c.check_id for c in checks if not c.passed} == {check_id}
+         {"soldier.files=odd,ranks4-5"}),
+        ("janggi", "palace",
+         {Site(f, r) for f in (4, 5, 6) for r in (2, 3, 4)},
+         {"palace_inside_home"}),
+        # a palace may fill its home zone: only the size check fails
+        ("janggi", "palace", zone("janggi", "A", "home_zone"), {"palace.size=9"}),
+        ("janggi", "middle_ranks",
+         {Site(f, r) for f in range(1, 10) for r in (3, 4, 5, 6)},
+         {"middle.ranks=4-7", "home*middle=0"}),
+    ], ids=["elephant", "soldier", "janggi-palace", "janggi-palace-is-home",
+            "janggi-middle_ranks"])
+    def test_corrupted_set_fails_its_check(self, monkeypatch, variant, name, bad, check_ids):
+        monkeypatch.setitem(geometry._ZONES[variant], name, frozenset(bad))
+        checks = validate_geometry(variant)
+        assert {c.check_id for c in checks if not c.passed} == check_ids
 
-    @pytest.mark.parametrize("variant,name", [
-        (variant, name) for variant in ("xiangqi", "janggi") for name in zone_names(variant)])
-    def test_injected_zone_gets_no_mirror_check(self, variant, name):
-        checks = validate_geometry(variant, zones={name: zone(variant, "A", name)})
-        assert {c.check_id for c in checks if c.check_id.startswith("mirror[")} == {
-            f"mirror[{other}]" for other in zone_names(variant) if other != name}
-
-    def test_corruption_is_data_not_exception(self):
-        checks = validate_geometry("xiangqi", zones={"advisor_sites": frozenset()})
+    def test_corruption_is_data_not_exception(self, monkeypatch):
+        monkeypatch.setitem(geometry._ZONES["xiangqi"], "advisor_sites", frozenset())
+        checks = validate_geometry("xiangqi")
         assert any(not c.passed for c in checks)

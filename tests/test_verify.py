@@ -13,6 +13,13 @@ from statecount.verify import (
 
 from frozen import JG_SLIST_DIVERGENT, XQ_KLIST_DIVERGENT
 
+def verify_only(monkeypatch, scope, *fixtures):
+    """``run_verify(scope)`` over exactly ``fixtures``, in order: the scope's
+    fixture source is rebound, as a layer is substituted anywhere else."""
+    monkeypatch.setattr(verify, "fixtures_for_scope", lambda _: list(fixtures))
+    return run_verify(scope)
+
+
 EXPECTED_TYPO_IDS = (
     {f"xq.klist.{x}" for x in XQ_KLIST_DIVERGENT}
     | {f"jg.slist.{k}" for k in JG_SLIST_DIVERGENT}
@@ -84,9 +91,9 @@ class TestDisputedEntries:
 
     @pytest.mark.parametrize("quantity_id", ["xq.total", "jg.total"])
     def test_total_note_does_not_depend_on_the_fixtures_run(self, full_verify,
-                                                             quantity_id):
+                                                             quantity_id, monkeypatch):
         fx = fixture(quantity_id)
-        result = run_verify(fx.family.scope, fixtures=[fx])
+        result = verify_only(monkeypatch, fx.family.scope, fx)
         (row,) = result.rows
         assert row == self._row(full_verify, quantity_id)
         assert result.breakdowns == {quantity_id: full_verify.breakdowns[quantity_id]}
@@ -101,16 +108,16 @@ class TestTotalNotes:
     """A total's note is computed from its printed components, never from its
     family name: each proof below flips a note by changing printed data."""
 
-    def test_a_total_equal_to_its_printed_fold_inherits(self):
+    def test_a_total_equal_to_its_printed_fold_inherits(self, monkeypatch):
         printed_fold = fixture("jg.total")._replace(paper_value=JG_PRINTED_FOLD)
-        (row,) = run_verify("janggi", fixtures=[printed_fold]).rows
+        (row,) = verify_only(monkeypatch, "janggi", printed_fold).rows
         assert row.verdict == TYPO
         assert "inherits that list's confirmed errors" in row.note
 
     def test_a_perturbed_printed_list_leaves_no_reconstruction(self, monkeypatch):
         klist = FAMILIES["xq.klist"].values
         monkeypatch.setitem(klist, (86,), klist[(86,)] + 1)
-        (row,) = run_verify("xiangqi", fixtures=[fixture("xq.total")]).rows
+        (row,) = verify_only(monkeypatch, "xiangqi", fixture("xq.total")).rows
         assert row.verdict == TYPO
         assert row.note == ("printed total matches no reconstruction from the "
                             "source's own printed components")
@@ -140,23 +147,23 @@ class TestNegativeControls:
     def test_corrupted_total_fixture_is_a_mismatch(self, monkeypatch):
         # the site-scan oracle still counts the true total
         _off_by_one_total(monkeypatch)
-        result = run_verify("xiangqi", fixtures=[fixture("xq.total")])
+        result = verify_only(monkeypatch, "xiangqi", fixture("xq.total"))
         (row,) = result.rows
         assert row.verdict == MISMATCH
         assert row.oracle_value == row.computed_value - 1
         assert result.exit_code == 1
 
-    def test_corrupted_oracle_backed_fixture_is_confirmed_against_print(self):
+    def test_corrupted_oracle_backed_fixture_is_confirmed_against_print(self, monkeypatch):
         # with a live oracle the engine sides with the enumeration
         corrupted = fixture("xq.table3.10,2")._replace(paper_value=99)
-        result = run_verify("xiangqi", fixtures=[corrupted])
+        result = verify_only(monkeypatch, "xiangqi", corrupted)
         (row,) = result.rows
         assert row.verdict == TYPO
         assert row.oracle_value == row.computed_value == 40
 
     def test_report_text_shows_the_mismatch(self, monkeypatch):
         _off_by_one_total(monkeypatch)
-        result = run_verify("xiangqi", fixtures=[fixture("xq.total")])
+        result = verify_only(monkeypatch, "xiangqi", fixture("xq.total"))
         text = format_report(result)
         assert "[mismatch] xq.total" in text
         assert "exit 1" in text
@@ -164,10 +171,10 @@ class TestNegativeControls:
 
 @pytest.mark.parametrize("side", ["compute_quantity", "oracle_quantity"])
 @pytest.mark.parametrize("name", FAMILIES)
-def test_every_family_can_fail(name, side):
+def test_every_family_can_fail(name, side, monkeypatch):
     """One off-by-one on either side of a family's first row, carried by the
-    fixture handed in, fails exactly that row (the first pair-fill row is
-    n = 0, the cheapest)."""
+    fixture that the scope yields, fails exactly that row (the first
+    pair-fill row is n = 0, the cheapest)."""
     family = FAMILIES[name]
     target = next(f for f in ALL_FIXTURES if f.family is family)
     other = next(f for f in ALL_FIXTURES if f.family is not family)
@@ -175,54 +182,27 @@ def test_every_family_can_fail(name, side):
     real = getattr(family, field)
     broken = target._replace(family=family._replace(
         **{field: lambda *key: real(*key) + 1}))
-    result = run_verify(family.scope, fixtures=[broken, other])
+    result = verify_only(monkeypatch, family.scope, broken, other)
     assert [row.verdict == MISMATCH for row in result.rows] == [True, False]
     assert f"[mismatch] {target.quantity_id} " in format_report(result)
     assert result.exit_code == 1
 
 
-def test_rekeyed_fixture_is_judged_by_its_own_key():
+def test_rekeyed_fixture_is_judged_by_its_own_key(monkeypatch):
     rekeyed = fixture("jg.palace.0")._replace(key=(2,))
-    (row,) = run_verify("janggi", fixtures=[rekeyed]).rows
+    (row,) = verify_only(monkeypatch, "janggi", rekeyed).rows
     assert row.quantity_id == "jg.palace.2"
     assert row.computed_value == row.oracle_value == 252
 
 
-@pytest.mark.parametrize("key", [3, 7, -1])
-def test_unprinted_key_is_refused_before_any_count(key, monkeypatch):
-    """Keys outside the printed domain would read as a mismatch (3, 7: the
-    home oracle counts at most three palace pieces) or as a confirmed typo
-    (-1: both sides count 0); they are refused before any closed form,
-    oracle or geometry check runs."""
-    def never(*_):
-        raise AssertionError("counted an unprinted key")
-    monkeypatch.setattr(verify, "validate_geometry", never)
-    family = FAMILIES["jg.palace"]
-    rekeyed = fixture("jg.palace.0")._replace(
-        key=(key,), family=family._replace(compute=never, oracle=never))
-    with pytest.raises(ValueError, match=rf"jg\.palace\.{key}\b.*jg\.palace"):
-        run_verify("janggi", fixtures=[rekeyed])
-
-
 def test_unknown_scope_is_refused_before_any_count(monkeypatch):
-    """A scope is checked even when the fixtures are handed in, by one call
-    of ``fixtures_for_scope``, before any closed form, oracle or geometry
-    check runs."""
+    """An unknown scope is refused before any geometry check runs; it
+    yields no fixture, so no closed form or oracle runs either."""
     def never(*_):
         raise AssertionError("counted under an unknown scope")
-    scoped = []
-
-    def recorder(scope):
-        scoped.append(scope)
-        return fixtures_for_scope(scope)
     monkeypatch.setattr(verify, "validate_geometry", never)
-    monkeypatch.setattr(verify, "fixtures_for_scope", recorder)
-    family = FAMILIES["jg.palace"]
-    palace = fixture("jg.palace.0")._replace(
-        family=family._replace(compute=never, oracle=never))
     with pytest.raises(ValueError, match="unknown scope 'bogus'"):
-        run_verify("bogus", fixtures=[palace])
-    assert scoped == ["bogus"]
+        run_verify("bogus")
 
 
 class TestScopesAndFormat:

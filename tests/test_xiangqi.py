@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from statecount import fixtures
+from statecount import fixtures, xiangqi
 from statecount.combinatorics import binom, pair_fill_count
 from statecount.geometry import zone
 from statecount.xiangqi import (
@@ -140,8 +140,9 @@ class TestGrandTotal:
         only_light = sum(term for _, y, term in grand_total_terms() if y == 0)
         assert only_light == sum(xq_positions(x) for x in range(70, 89))
 
-    def test_zero_positions_annihilates(self):
-        assert xq_grand_total(positions=lambda x: 0) == 0
+    def test_zero_positions_annihilates(self, monkeypatch):
+        monkeypatch.setattr(xiangqi, "xq_positions", lambda x: 0)
+        assert xq_grand_total() == 0
 
     def test_term_structure(self):
         terms = {(x, y): t for x, y, t in grand_total_terms()}
