@@ -25,9 +25,8 @@ print("\n== stage 1: king + advisors + elephants in one camp ==")
 print("  advisors elephants | total  (split by elephants on the two shared sites)")
 for a in (2, 1, 0):
     for e in (2, 1, 0):
-        row = camp_classes(a, e)
-        c = row.by_shared_elephants
-        print(f"       {a}        {e}    | {row.total:5d}  (two:{c[2]:3d} one:{c[1]:4d} none:{c[0]:4d})")
+        total, two, one, none = camp_classes(a, e)
+        print(f"       {a}        {e}    | {total:5d}  (two:{two:3d} one:{one:4d} none:{none:4d})")
 
 print("\n== stage 2: soldiers on the own half (one per file) ==")
 for blank in (10, 9, 8):

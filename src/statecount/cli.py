@@ -186,8 +186,8 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
     else:  # t2
         headers = ["used_pieces"]
         camp = [(p, xiangqi.camp_by_piece_count(p)) for p in (5, 4, 3, 2, 1)]
-    rows = [[str(v) for v in (*lead, *row.columns)] for *lead, row in camp]
-    return [*headers, *xiangqi.CAMP_HEADERS], rows
+    rows = [[str(v) for v in (*lead, *row)] for *lead, row in camp]
+    return [*headers, *xiangqi.CampClassRow._fields], rows
 
 
 def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:

@@ -24,7 +24,7 @@ def _by_pieces_text(counts) -> str:
 # the published tables checked
 ORACLES = {
     "enum_camp_xq": ((range(3), range(3)), lambda row: " ".join(
-        f"{h}={v}" for h, v in zip(xiangqi.CAMP_HEADERS, row.columns))),
+        f"{h}={v}" for h, v in zip(xiangqi.CampClassRow._fields, row))),
     "enum_soldiers_xq": ((range(3), xiangqi.SOLDIERS), str),
     "enum_side_exact_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),
     "enum_side_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),

@@ -143,7 +143,7 @@ JG_SLIST = [1, 8, 64, 504, 2028, 28560, 44520, 294000, 441840, 6773760,
 JG_TOTAL = 235103954659801304018684123148785542989018468
 
 
-# printed column order of tables 1 and 2 (see ``CampClassRow.columns``)
+# id suffixes of the columns of tables 1 and 2, in ``CampClassRow`` field order
 CAMP_COLUMNS = ("total", "two5", "one5", "no5")
 # largest m**n a verify run enumerates for one pair-fill oracle call
 _PAIR_FILL_ORACLE_BUDGET = 2_500_000
@@ -195,8 +195,8 @@ def _by_column(printed: dict) -> dict[tuple, int]:
             for column, value in zip(CAMP_COLUMNS, row)}
 
 
-def _camp_column(row: xiangqi.CampClassRow, column: str) -> int:
-    return row.columns[CAMP_COLUMNS.index(column)]
+def _camp_column(row: tuple[int, ...], column: str) -> int:
+    return row[CAMP_COLUMNS.index(column)]
 
 
 def _pair_fill_oracle(m: int, n: int) -> int:
@@ -225,7 +225,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda n, k: oracle.enum_side_xq(n, k)),
     Family("xq.klist", "xiangqi", _keyed(XQ_KLIST),
            lambda x: xiangqi.xq_positions(x),
-           lambda x: oracle.scan_positions("xiangqi").get(90 - x, 0)),
+           lambda x: oracle.scan_positions("xiangqi")[90 - x]),
     Family("xq.dlist", "combinatorics", _keyed(XQ_DLIST),
            lambda y: combinatorics.pair_fill_count(xiangqi.HEAVY_PAIRS, y),
            lambda y: _pair_fill_oracle(xiangqi.HEAVY_PAIRS, y)),
@@ -240,7 +240,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda n, k: oracle.enum_home_jg(n, k)),
     Family("jg.klist", "janggi", _keyed(JG_KLIST),
            lambda n: janggi.jg_positions(n),
-           lambda n: oracle.scan_positions("janggi").get(n, 0)),
+           lambda n: oracle.scan_positions("janggi")[n]),
     Family("jg.slist", "combinatorics", _keyed(JG_SLIST),
            lambda k: combinatorics.pair_fill_count(janggi.HEAVY_PAIRS, k),
            lambda k: _pair_fill_oracle(janggi.HEAVY_PAIRS, k)),

@@ -13,11 +13,12 @@ visits the board site by site: the grid oracles ``enum_side_exact_xq``,
 zone, ``scan_positions``/``scan_total`` join two half scans, and
 ``count_pair_fill`` is a recurrence over the pairs.  The brute-force tier
 calls nothing of the scan tier, so the two check each other.  Oracles
-import only the geometry and the ``CampClassRow`` record, never the closed
-forms; agreement between the two is the package's core correctness
-argument.  Parameter domains live in ``commands.ORACLES``, which takes the
-grid ranges from the closed-form modules; the functions keep only their
-tractability bounds (``OracleBoundError``).
+import only the geometry, never the closed forms or their records, so
+``import statecount.oracle`` runs ``geometry`` alone; agreement between
+oracles and closed forms is the package's core correctness argument.
+Parameter domains live in ``commands.ORACLES``, which takes the grid ranges
+from the closed-form modules; the functions keep only their tractability
+bounds (``OracleBoundError``).
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from itertools import combinations, product
 from operator import ne
 
 from .geometry import FILES, board_sites, mirror, zone
-from .xiangqi import CampClassRow
 
 _XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
@@ -93,14 +93,17 @@ def _xq_camp_classes() -> Counter:
                    for adv, ele, _ in _camps("xiangqi", "A", 4))
 
 
-def enum_camp_xq(advisors: int, elephants: int) -> CampClassRow:
-    """Exhaust all king/advisor/elephant camp placements.
+def enum_camp_xq(advisors: int, elephants: int) -> tuple[int, int, int, int]:
+    """Exhaust all king/advisor/elephant camp placements, counted as tables 1
+    and 2 print them: all camps, then those with two, one and no elephants
+    on the shared sites.
 
     Advisors and elephants are identical within their type, so subsets of
     sites (not sequences) are enumerated.  Domain <= C(5,2)*C(7,2)*9.
     """
     classes = _xq_camp_classes()
-    return CampClassRow(tuple(classes[advisors, elephants, shared] for shared in range(3)))
+    two, one, no = (classes[advisors, elephants, shared] for shared in (2, 1, 0))
+    return two + one + no, two, one, no
 
 
 def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:

@@ -48,24 +48,14 @@ SOLDIERS = range(MAX_SOLDIERS + 1)
 BLANK_SOLDIER_SITES = range(len(SOLDIER_SITES), len(SOLDIER_SITES) - 3, -1)
 
 
-# the printed names of ``CampClassRow.columns``
-CAMP_HEADERS = ("total", "two_shared", "one_shared", "no_shared")
-
-
 class CampClassRow(NamedTuple):
-    """Camp arrangement counts split by elephants on the shared sites."""
+    """Camp arrangement counts as tables 1 and 2 print them: all camps, then
+    those with two, one and no elephants on the shared sites."""
 
-    by_shared_elephants: tuple[int, int, int]  # index = shared-site elephants
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_shared_elephants)
-
-    @property
-    def columns(self) -> tuple[int, int, int, int]:
-        """The printed column order: total, then two, one, no shared-site
-        elephants."""
-        return (self.total, *reversed(self.by_shared_elephants))
+    total: int
+    two_shared: int
+    one_shared: int
+    no_shared: int
 
 
 @lru_cache(maxsize=None)
@@ -92,20 +82,20 @@ def camp_classes(advisors: int, elephants: int) -> CampClassRow:
     for (shared, in_palace), ways in _elephant_subset_classes(elephants).items():
         king_choices = len(PALACE) - advisors - in_palace
         by_shared[shared] += advisor_ways * ways * king_choices
-    return CampClassRow(tuple(by_shared))
+    return CampClassRow(sum(by_shared), *reversed(by_shared))
 
 
 @lru_cache(maxsize=None)
 def camp_by_piece_count(pieces_used: int) -> CampClassRow:
     """Aggregate camp rows over advisors + elephants + king = pieces_used."""
-    by_shared = [0, 0, 0]
+    summed = [0, 0, 0, 0]
     for advisors in range(3):
         for elephants in range(3):
             if advisors + elephants + 1 == pieces_used:
                 row = camp_classes(advisors, elephants)
-                for shared in range(3):
-                    by_shared[shared] += row.by_shared_elephants[shared]
-    return CampClassRow(tuple(by_shared))
+                for column in range(4):
+                    summed[column] += row[column]
+    return CampClassRow(*summed)
 
 
 def soldier_own_side(blank_soldier_sites: int, soldiers: int) -> int:
@@ -134,7 +124,8 @@ def side_exact(blanks: int, soldiers_used: int) -> int:
     row = camp_by_piece_count(HALF_SITES - blanks - soldiers_used)
     return sum(
         ways * soldier_own_side(blank, soldiers_used)
-        for ways, blank in zip(row.by_shared_elephants, BLANK_SOLDIER_SITES)
+        for ways, blank in zip((row.no_shared, row.one_shared, row.two_shared),
+                               BLANK_SOLDIER_SITES)
     )
 
 

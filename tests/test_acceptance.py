@@ -57,21 +57,13 @@ def report(cid: str, description: str, ok: bool) -> bool:
 
 def test_c01_camp_table_rows():
     started = time.perf_counter()
-    ok = all(
-        camp_classes(a, e).total == total
-        and camp_classes(a, e).by_shared_elephants == (no5, one5, two5)
-        for (a, e), (total, two5, one5, no5) in fixtures.TABLE1.items()
-    )
+    ok = all(camp_classes(a, e) == row for (a, e), row in fixtures.TABLE1.items())
     ok = ok and (time.perf_counter() - started) < 1.0
     assert report("C01", "camp table: all 9 rows recomputed from geometry, <1s", ok)
 
 
 def test_c02_camp_aggregates():
-    ok = all(
-        camp_by_piece_count(p).total == total
-        and camp_by_piece_count(p).by_shared_elephants == (no5, one5, two5)
-        for p, (total, two5, one5, no5) in fixtures.TABLE2.items()
-    )
+    ok = all(camp_by_piece_count(p) == row for p, row in fixtures.TABLE2.items())
     assert report("C02", "camp aggregates: all 5 rows exact", ok)
 
 

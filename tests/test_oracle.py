@@ -1,6 +1,10 @@
 """Enumeration oracles vs. the closed-form pipeline, over full domains."""
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -37,9 +41,9 @@ from frozen import ENUM_JG_SMALL, ENUM_XQ_SMALL, TRUE_JG_TOTAL, TRUE_XQ_TOTAL
 
 class TestCampOracle:
     def test_reference_anchors(self):
-        assert enum_camp_xq(2, 2).total == 1410
-        assert enum_camp_xq(0, 2).by_shared_elephants == (86, 88, 9)
-        assert enum_camp_xq(0, 0).total == 9
+        assert enum_camp_xq(2, 2)[0] == 1410
+        assert enum_camp_xq(0, 2) == (183, 9, 88, 86)
+        assert enum_camp_xq(0, 0) == (9, 0, 0, 9)
 
     def test_full_domain_equality(self):
         for a in range(3):
@@ -108,8 +112,8 @@ class TestPairFillOracle:
         assert enum_pair_fill(2, 5) == 0
 
     def test_small_domain_equality(self):
-        for m in range(5):
-            for n in range(9):
+        for m in range(-1, 5):
+            for n in range(-2, 9):
                 assert enum_pair_fill(m, n) == pair_fill_count(m, n) == count_pair_fill(m, n)
         for m in range(9):
             for n in range(-2, 21):
@@ -190,7 +194,8 @@ class TestPositionsOracle:
 
 
 def test_oracle_imports_only_geometry():
-    """Besides the geometry, oracle.py takes only the CampClassRow record."""
+    """oracle.py takes nothing but the geometry, so a fresh interpreter that
+    imports it runs no other ``statecount`` module."""
     taken = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and (
@@ -200,8 +205,13 @@ def test_oracle_imports_only_geometry():
         elif isinstance(node, ast.Import):
             taken |= {a.name.removeprefix("statecount.") for a in node.names
                       if a.name.startswith("statecount")}
-    assert {name for name in taken if name.split(".")[0] != "geometry"} == {
-        "xiangqi.CampClassRow"}
+    assert {name.split(".")[0] for name in taken} == {"geometry"}
+    script = ("import json, sys, statecount.oracle; "
+              "print(json.dumps(sorted(n for n in sys.modules if n.startswith('statecount'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == ["statecount", "statecount.geometry", "statecount.oracle"]
 
 
 def _reached(function) -> set[str]:

@@ -24,38 +24,29 @@ from frozen import TRUE_XQ_KLIST, TRUE_XQ_TOTAL, XQ_KLIST_DIVERGENT
 class TestCampClasses:
     @pytest.mark.parametrize("cell,expected", sorted(fixtures.TABLE1.items()))
     def test_reference_rows(self, cell, expected):
-        row = camp_classes(*cell)
-        total, two5, one5, no5 = expected
-        assert row.total == total
-        assert row.by_shared_elephants == (no5, one5, two5)
+        assert camp_classes(*cell) == expected
 
     def test_row_sum_invariant(self):
         for a in range(3):
             for e in range(3):
                 row = camp_classes(a, e)
-                assert row.total == sum(row.by_shared_elephants)
+                assert row.total == row.two_shared + row.one_shared + row.no_shared
 
     def test_two_shared_requires_two_elephants(self):
         for a in range(3):
             for e in range(2):
-                assert camp_classes(a, e).by_shared_elephants[2] == 0
+                assert camp_classes(a, e).two_shared == 0
 
     @pytest.mark.parametrize("pieces,expected", sorted(fixtures.TABLE2.items()))
     def test_aggregates(self, pieces, expected):
-        row = camp_by_piece_count(pieces)
-        total, two5, one5, no5 = expected
-        assert row.total == total
-        assert row.by_shared_elephants == (no5, one5, two5)
+        assert camp_by_piece_count(pieces) == expected
 
     def test_aggregate_is_sum_of_rows(self):
         for pieces in range(1, 6):
             agg = camp_by_piece_count(pieces)
             parts = [camp_classes(a, e) for a in range(3) for e in range(3)
                      if a + e + 1 == pieces]
-            for shared in range(3):
-                assert agg.by_shared_elephants[shared] == sum(
-                    p.by_shared_elephants[shared] for p in parts
-                )
+            assert agg == tuple(map(sum, zip(*parts)))
 
 
 class TestSoldierOwnSide:

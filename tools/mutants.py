@@ -11,8 +11,9 @@ The operators: swap ``+``/``-``, ``*`` -> ``+``, ``//`` -> ``*``,
 The checkout is copied once into a temporary directory; each mutant is
 written there with ``ast.unparse`` and ``pytest -x -q`` runs in the copy,
 so the checkout itself is never written.  The unmutated module, unparsed
-the same way, must pass first.  ``--first`` puts the fastest killers at the
-head of the run; every other ``tests/test_*.py`` file follows.
+the same way, must pass first.  ``--first``, which may be repeated, puts
+the fastest killers at the head of the run; every other
+``tests/test_*.py`` file follows.
 
 Prints one JSON record: the mutant count, each mutant with the first test
 that failed on it (``null`` for a survivor), and the survivors.
@@ -103,7 +104,7 @@ def run_tests(copy: Path, targets: list[str]) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module path relative to the checkout")
-    parser.add_argument("--first", nargs="*", default=[],
+    parser.add_argument("--first", nargs="*", action="extend", default=[],
                         help="test files to run before the rest")
     args = parser.parse_args(argv)
 
