@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 
 def binom(n: int, k: int) -> int:
@@ -39,3 +40,12 @@ def pair_fill_count(m: int, n: int) -> int:
     """
     return sum(binom(m, i) * binom(m - i, n - 2 * i) * math.factorial(n) // 2 ** i
                for i in range(n // 2 + 1))
+
+
+def heavy_stage(light: Iterable[tuple[int, int]], choose: Callable[[int, int], int],
+                fills: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(i, y, K * choose(i, y) * fills[y]) for each (i, K) in ``light``: y heavy
+    pieces on one of choose(i, y) site sets, filled in one of fills[y] ways."""
+    for i, k in light:
+        for y, fill in enumerate(fills):
+            yield i, y, k * choose(i, y) * fill

@@ -11,15 +11,15 @@ king/advisors plus the *opponent's* soldiers.
    and opposing soldiers, reserving at least k opposing soldiers.
 3. ``jg_positions``: two home zones convolved with both players' remaining
    soldiers on the shared middle ranks; indexed by pieces placed.
-4. ``jg_grand_total``: chariots/horses/elephants/cannons (eight
-   within-pair-identical pairs) filled onto the remaining blanks.
+4. ``jg_grand_total``: ``heavy_stage`` fills chariots/horses/elephants/cannons
+   (eight within-pair-identical pairs) onto the remaining blanks.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator
 
-from .combinatorics import binom, pair_fill_count
+from .combinatorics import binom, heavy_stage, pair_fill_count
 from .geometry import board_sites, zone
 
 PALACE = zone("janggi", "A", "palace")
@@ -97,15 +97,10 @@ def jg_positions(n: int) -> int:
 
 
 def grand_total_terms() -> Iterator[tuple[int, int, int]]:
-    """(n, y, term) triples of the heavy-piece stage.
-
-    n = light pieces placed, so 90 - n sites remain; y of them receive
-    heavy pieces.
-    """
-    for n in PIECES_RANGE:
-        pn = jg_positions(n)
-        for y in range(2 * HEAVY_PAIRS + 1):
-            yield n, y, pn * binom(BOARD_SITES - n, y) * pair_fill_count(HEAVY_PAIRS, y)
+    """``heavy_stage`` triples (n, y, term): y heavy pieces on the 90 - n blanks."""
+    fills = [pair_fill_count(HEAVY_PAIRS, y) for y in range(2 * HEAVY_PAIRS + 1)]
+    return heavy_stage(((n, jg_positions(n)) for n in PIECES_RANGE),
+                       lambda n, y: binom(BOARD_SITES - n, y), fills)
 
 
 def jg_grand_total() -> int:

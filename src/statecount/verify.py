@@ -9,8 +9,8 @@ closed forms.  Verdicts:
 * ``match`` — recomputed value equals the printed value.
 * ``paper-typo-confirmed`` — the values differ, and the oracle agrees with
   the recomputation, so the printed value is the erroneous one.  A grand
-  total's note says whether the sum of K(i) * C(free(i), y) * T(y) over its
-  printed light-stage list K and pair-fill list T gives the printed total.
+  total's note says whether ``heavy_stage`` folds its printed light-stage
+  and pair-fill lists into the printed total.
 
 The exit contract: 0 when no row is a mismatch and all geometry checks
 pass, 1 otherwise.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import janggi, xiangqi
-from .combinatorics import binom
+from .combinatorics import binom, heavy_stage
 from .fixtures import FAMILIES, ReferenceFixture, fixtures_for_scope
 from .geometry import GeometryCheck, validate_geometry
 
@@ -65,10 +65,10 @@ def oracle_quantity(fx: ReferenceFixture) -> int:
     return fx.family.oracle(*fx.key)
 
 
-# grand total: (variant module, K family, T family, free sites at index i)
+# grand total: (variant module, K family, T family, heavy-site choice at index i)
 _TOTALS = {
-    "xq.total": (xiangqi, "xq.klist", "xq.dlist", lambda x: x),
-    "jg.total": (janggi, "jg.klist", "jg.slist", lambda n: janggi.BOARD_SITES - n),
+    "xq.total": (xiangqi, "xq.klist", "xq.dlist", binom),
+    "jg.total": (janggi, "jg.klist", "jg.slist", lambda n, y: binom(janggi.BOARD_SITES - n, y)),
 }
 
 
@@ -79,10 +79,10 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
         return MATCH, ""
     if fx.family.name not in _TOTALS:
         return TYPO, "the oracle confirms the recomputed value"
-    _, klist, tlist, free = _TOTALS[fx.family.name]
-    if fx.paper_value == sum(k * binom(free(i), y) * t
-                             for (i,), k in FAMILIES[klist].values.items()
-                             for (y,), t in FAMILIES[tlist].values.items()):
+    _, klist, tlist, choose = _TOTALS[fx.family.name]
+    light = [(i, k) for (i,), k in FAMILIES[klist].values.items()]
+    fills = list(FAMILIES[tlist].values.values())
+    if fx.paper_value == sum(term for *_, term in heavy_stage(light, choose, fills)):
         return TYPO, ("printed total equals the printed light-stage list folded "
                       "through the heavy stage, so it inherits that list's "
                       "confirmed errors; recomputation uses the corrected list")
@@ -114,8 +114,7 @@ def run_verify(scope: str = "all") -> VerifyResult:
             fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
         ))
         if verdict != MATCH and fx.family.name in _TOTALS:
-            module = _TOTALS[fx.family.name][0]
-            breakdowns[fx.quantity_id] = list(module.grand_total_terms())
+            breakdowns[fx.quantity_id] = list(_TOTALS[fx.family.name][0].grand_total_terms())
     return VerifyResult(geometry_checks, rows, breakdowns)
 
 

@@ -12,8 +12,8 @@ The pipeline, in order:
    (cumulative reserve).
 4. ``xq_positions``: the two-player convolution, adding river-crossed
    soldiers on the opponent's blanks; indexed by total blank sites.
-5. ``xq_grand_total``: chariots/horses/cannons (six within-pair-identical
-   pairs) filled onto the remaining blanks.
+5. ``xq_grand_total``: ``heavy_stage`` fills chariots/horses/cannons (six
+   within-pair-identical pairs) onto the remaining blanks.
 
 Everything is recomputed from the geometry sets in :mod:`statecount.geometry`;
 no table values are hard-coded.
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .combinatorics import binom, pair_fill_count
+from .combinatorics import binom, heavy_stage, pair_fill_count
 from .geometry import zone
 
 PALACE = zone("xiangqi", "A", "palace")
@@ -172,14 +172,9 @@ def xq_positions(x: int) -> int:
 
 
 def grand_total_terms() -> Iterator[tuple[int, int, int]]:
-    """(x, y, term) triples of the heavy-piece stage.
-
-    x = blanks after the light stage, y = heavy pieces placed on them.
-    """
-    for x in BLANKS_RANGE:
-        px = xq_positions(x)
-        for y in range(2 * HEAVY_PAIRS + 1):
-            yield x, y, px * binom(x, y) * pair_fill_count(HEAVY_PAIRS, y)
+    """``heavy_stage`` triples (x, y, term): y heavy pieces on the x blanks."""
+    fills = [pair_fill_count(HEAVY_PAIRS, y) for y in range(2 * HEAVY_PAIRS + 1)]
+    return heavy_stage(((x, xq_positions(x)) for x in BLANKS_RANGE), binom, fills)
 
 
 def xq_grand_total() -> int:

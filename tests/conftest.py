@@ -7,9 +7,3 @@ from statecount.verify import run_verify
 def full_verify():
     """One shared full verify run; the engine itself is deterministic."""
     return run_verify("all")
-
-
-@pytest.fixture(scope="session")
-def combinatorics_verify():
-    """One shared verify run of the pair-fill lists alone."""
-    return run_verify("combinatorics")

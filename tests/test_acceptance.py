@@ -160,8 +160,8 @@ def test_c09_janggi_light_stage_list():
                   list_ok and enum_ok)
 
 
-def test_c10_eight_pair_list_adjudication(combinatorics_verify):
-    result = combinatorics_verify
+def test_c10_eight_pair_list_adjudication(full_verify):
+    result = full_verify
     rows = {r.quantity_id: r for r in result.rows}
     ok = (
         rows["jg.slist.5"].verdict == MATCH

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from statecount.combinatorics import binom, pair_fill_count
+from statecount.combinatorics import binom, heavy_stage, pair_fill_count
 
 from frozen import TRUE_JG_SLIST
 
@@ -83,3 +83,13 @@ class TestPairFillCount:
         value = pair_fill_count(8, 16)
         assert isinstance(value, int)
         assert int(str(value)) == value
+
+
+class TestHeavyStage:
+    def test_hand_checked_terms(self):
+        # K = 2 at index 3: C(3, 0) * 1 * 2 = 2 and C(3, 1) * 4 * 2 = 24
+        assert list(heavy_stage([(3, 2)], binom, [1, 4])) == [(3, 0, 2), (3, 1, 24)]
+
+    def test_empty_inputs_yield_nothing(self):
+        assert list(heavy_stage([], binom, [1, 4])) == []
+        assert list(heavy_stage([(3, 2)], binom, [])) == []

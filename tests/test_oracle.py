@@ -152,7 +152,7 @@ class TestPairFillOracle:
         assert enum_pair_fill(4, 5) == 5
 
     def test_bound_error_states_the_bound(self):
-        with pytest.raises(OracleBoundError, match="20000000"):
+        with pytest.raises(OracleBoundError, match="68719476736 sequences.*20000000"):
             enum_pair_fill(8, 12)
 
 

@@ -220,8 +220,9 @@ class TestScopesAndFormat:
         with pytest.raises(ValueError):
             fixtures_for_scope("everything")
 
-    def test_combinatorics_scope_runs_standalone(self, combinatorics_verify):
-        result = combinatorics_verify
+    def test_combinatorics_scope_runs_standalone(self, monkeypatch):
+        monkeypatch.setattr(oracle, "enum_pair_fill", oracle.count_pair_fill)
+        result = run_verify("combinatorics")
         assert result.exit_code == 0
         ids = {r.quantity_id for r in result.rows}
         assert all(i.startswith(("xq.dlist", "jg.slist")) for i in ids)
