@@ -4,21 +4,21 @@ Two tiers of oracles count every published value again.  The brute-force
 tier, ``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
 ``enum_positions_small``, enumerates concrete placements with no shortcuts
 beyond zone membership, so it is auditable by eye.  The pair fill draws
-every sequence and judges each distinct sorted copy once.  The others walk
-``_subsets``, the subsets of a zone's free sites up to a size bound:
-``_camps`` walks a king with its advisors and elephants, and
-``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The site-scan tier
-visits the board site by site: the grid oracles ``enum_side_exact_xq``,
-``enum_side_xq`` and ``enum_home_jg`` read one scan of a half or a home
-zone, ``scan_positions``/``scan_total`` join two half scans, and
-``count_pair_fill`` is a recurrence over the pairs.  The brute-force tier
-calls nothing of the scan tier, so the two check each other.  Oracles
-import only the geometry, never the closed forms or their records, so
-``import statecount.oracle`` runs ``geometry`` alone; agreement between
-oracles and closed forms is the package's core correctness argument.
-Parameter domains live in ``commands.ORACLES``, which takes the grid ranges
-from the closed-form modules; the functions keep only their tractability
-bounds (``OracleBoundError``).
+every sequence as the numeral of its symbol counts and judges each distinct
+numeral once.  The others walk ``_subsets``, the subsets of a zone's free
+sites up to a size bound: ``_camps`` walks a king with its advisors and
+elephants, and ``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The
+site-scan tier visits the board site by site: the grid oracles
+``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one scan
+of a half or a home zone, ``scan_positions``/``scan_total`` join two half
+scans, and ``count_pair_fill`` is a recurrence over the pairs.  The
+brute-force tier calls nothing of the scan tier, so the two check each
+other.  Oracles import only the geometry, never the closed forms or their
+records, so ``import statecount.oracle`` runs ``geometry`` alone; agreement
+between oracles and closed forms is the package's core correctness
+argument.  Parameter domains live in ``commands.ORACLES``, which takes the
+grid ranges from the closed-form modules; the functions keep only their
+tractability bounds (``OracleBoundError``).
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from operator import ne
 
 from .geometry import FILES, board_sites, mirror, zone
 
@@ -125,6 +124,7 @@ def _xq_side_placements(max_extra: int):
             yield camp.union(soldiers), len(camp) + len(soldiers), len(soldiers)
 
 
+@lru_cache(maxsize=1)
 def _xq_side_grid() -> Counter:
     """(blanks, soldiers used) -> placements on one player's own half: the
     half scan with no opposing soldiers."""
@@ -178,10 +178,10 @@ def enum_pair_fill(m: int, n: int) -> int:
 
     Enumerates all m^n sequences, so the bound is m^n <= 20 million.  For
     the pair counts verify uses, that covers n <= 9 at m = 6 (Xiangqi) and
-    n <= 8 at m = 8 (Janggi).  Each sequence's sorted copy is counted, and
-    each distinct copy is judged once: a symbol used three times fills three
-    consecutive places there, so the copy passes when no place equals the
-    one two further on, and adds the number of sequences that share it.
+    n <= 8 at m = 8 (Janggi).  Symbol s weighs (n + 1) ** s, so a sequence
+    sums to the base-(n + 1) numeral of its symbol counts (each at most n),
+    which it shares exactly with the sequences of its sorted copy.  Each
+    distinct sum is judged once: with no digit above 2, its sequences count.
     """
     if n < 0 or m < 0:
         return 0
@@ -190,8 +190,10 @@ def enum_pair_fill(m: int, n: int) -> int:
             f"enum_pair_fill({m}, {n}) needs {m ** n} sequences; "
             f"bound is {PAIR_FILL_MAX_SEQUENCES}"
         )
-    copies = Counter(map(tuple, map(sorted, product(range(m), repeat=n))))
-    return sum(ways for copy, ways in copies.items() if all(map(ne, copy, copy[2:])))
+    base = n + 1
+    codes = Counter(map(sum, product([base ** s for s in range(m)], repeat=n)))
+    return sum(ways for code, ways in codes.items()
+               if all(code // base ** s % base < 3 for s in range(m)))
 
 
 def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
@@ -276,10 +278,12 @@ def _scan(sites, kinds) -> Counter:
         states = _tally((state[:width] + (0,) * width, ways)
                         for state, ways in states.items())
         for site in sorted(s for s in sites if s.file == file):
+            here = [(i, cap, one_per_file) for i, (zone_sites, cap, one_per_file)
+                    in enumerate(kinds) if site in zone_sites]
             following = states.copy()  # the site stays empty
             for state, ways in states.items():
-                for i, (zone_sites, cap, one_per_file) in enumerate(kinds):
-                    if site in zone_sites and state[i] < cap and not state[width + i]:
+                for i, cap, one_per_file in here:
+                    if state[i] < cap and not state[width + i]:
                         placed = list(state)
                         placed[i] += 1
                         placed[width + i] = int(one_per_file)

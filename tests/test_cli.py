@@ -502,10 +502,11 @@ def test_deferred_handlers_print_what_an_eager_import_prints(capsys, argv):
 
 
 @pytest.mark.parametrize("demo", ["01_xiangqi_pipeline.py", "02_janggi_pipeline.py",
-                                  "03_oracle_audit.py"])
+                                  "03_oracle_audit.py", "04_discrepancy_report.py"])
 def test_demo_runs(demo):
-    """The demos read record attributes that no other test reads.  Demo 04 is
-    left out: it repeats the full verify the ``full_verify`` fixture runs."""
+    """The demos read record attributes that no other test reads.  Demo 04
+    repeats the full verify of the ``full_verify`` fixture in a fresh
+    process, which adds about 2 s to the suite on a 2-core host."""
     proc = _python(str(REPO / "demos" / demo))
     _, err = proc.communicate(timeout=120)
     assert "Traceback" not in err

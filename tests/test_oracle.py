@@ -112,9 +112,11 @@ class TestPairFillOracle:
         assert enum_pair_fill(2, 5) == 0
 
     def test_small_domain_equality(self):
-        for m in range(-1, 5):
-            for n in range(-2, 9):
-                assert enum_pair_fill(m, n) == pair_fill_count(m, n) == count_pair_fill(m, n)
+        # every m <= 8 up to 300 000 sequences, so the code's base is tried at m = 5..8 too
+        for m in range(-1, 9):
+            for n in range(-2, 21):
+                if m < 0 or n < 0 or m ** n <= 300_000:
+                    assert enum_pair_fill(m, n) == pair_fill_count(m, n) == count_pair_fill(m, n)
         for m in range(9):
             for n in range(-2, 21):
                 assert count_pair_fill(m, n) == pair_fill_count(m, n)
@@ -137,9 +139,10 @@ class TestPairFillOracle:
         assert len(drawn) == len(set(drawn)) == 4 ** 6
 
     def test_counts_each_drawn_sequence_on_its_sorted_copy(self, monkeypatch):
-        """A fixed draw: each valid sequence counts once per time it is
-        drawn.  Comparing unsorted places, or counting a sorted copy once
-        however many sequences share it, gives another total."""
+        """A fixed draw of labels, turned into the pool's weights as
+        ``product`` would: each valid sequence counts once per time it is
+        drawn.  Summing raw labels, or counting a sorted copy once however
+        many sequences share it, gives another total."""
         drawn = [
             (0, 1, 0, 2, 0),  # one symbol thrice, never adjacent: invalid
             (1, 0, 0, 1),     # two doubles: valid
@@ -147,8 +150,10 @@ class TestPairFillOracle:
             (1, 0, 0, 1),     # drawn again: valid
             (2, 0, 1, 3),     # all distinct: valid
             (0, 1, 0),        # a double two places apart: valid
+            (2, 2, 2),        # one symbol thrice: invalid, though raw labels sum to a valid 6
         ]
-        monkeypatch.setattr(oracle, "product", lambda *args, **kwargs: iter(drawn))
+        monkeypatch.setattr(oracle, "product", lambda pool, repeat: (
+            tuple(pool[s] for s in seq) for seq in drawn))
         assert enum_pair_fill(4, 5) == 5
 
     def test_bound_error_states_the_bound(self):
