@@ -191,25 +191,16 @@ def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]
 
 
 def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:
+    zones = {player: {name: sorted(zone(args.variant, player, name))
+                      for name in zone_names(args.variant)}
+             for player in ("A", "B")}
     if args.format == "json":
-        import json
-        record = {
-            "variant": args.variant,
-            "zones": {
-                player: {
-                    name: sorted([s.file, s.rank] for s in zone(args.variant, player, name))
-                    for name in zone_names(args.variant)
-                }
-                for player in ("A", "B")
-            },
-        }
-        return json.dumps(record, indent=2)
-    lines = ["player,zone,file,rank"]
-    for player in ("A", "B"):
-        for name in zone_names(args.variant):
-            lines += [f"{player},{name},{site.file},{site.rank}"
-                      for site in sorted(zone(args.variant, player, name))]
-    return "\n".join(lines)
+        import json  # a Site is a (file, rank) tuple, so it prints as [file, rank]
+        return json.dumps({"variant": args.variant, "zones": zones}, indent=2)
+    rows = [[player, name, str(site.file), str(site.rank)]
+            for player, named in zones.items()
+            for name, sites in named.items() for site in sites]
+    return _render(["player", "zone", "file", "rank"], rows, "csv")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ sites up to a size bound: ``_camps`` walks a king with its advisors and
 elephants, and ``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The
 site-scan tier visits the board site by site: the grid oracles
 ``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one scan
-of a half or a home zone, ``scan_positions``/``scan_total`` join two half
-scans, and ``count_pair_fill`` is a recurrence over the pairs.  The
+of a half or a home zone, ``scan_positions``/``scan_total`` join one half
+scan with itself, and ``count_pair_fill`` is a recurrence on pairs.  The
 brute-force tier calls nothing of the scan tier, so the two check each
 other.  Oracles import only the geometry, never the closed forms or their
 records, so ``import statecount.oracle`` runs ``geometry`` alone; agreement
@@ -129,7 +129,7 @@ def _xq_side_grid() -> Counter:
     """(blanks, soldiers used) -> placements on one player's own half: the
     half scan with no opposing soldiers."""
     return Counter({(45 - camp - soldiers, soldiers): ways
-                    for (camp, soldiers, opposing), ways in _half("xiangqi", "A").items()
+                    for (camp, soldiers, opposing), ways in _half("xiangqi").items()
                     if not opposing})
 
 
@@ -271,6 +271,8 @@ def _scan(sites, kinds) -> Counter:
     only on ``zone``, at most ``cap`` of them, and with ``one_per_file`` at
     most one on any file.  A state holds each kind's count and whether the
     current file already holds one of it; that flag resets at each new file.
+    Each site takes at most one piece and every rule is per kind or per
+    file, so the counts do not depend on the order of a file's sites.
     """
     width = len(kinds)
     states = Counter({(0,) * 2 * width: 1})
@@ -293,17 +295,19 @@ def _scan(sites, kinds) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _half(variant: str, player: str) -> Counter:
-    """(camp pieces, own soldiers, opposing soldiers) -> placements on the
-    player's half, ranks 1-5 for A and 6-10 for B, with the king placed."""
-    half = frozenset(s for s in board_sites() if (s.rank <= 5) == (player == "A"))
-    camp = [(zone(variant, player, "palace"), 1, False),
-            (zone(variant, player, "advisor_sites"), 2, False)]
+def _half(variant: str) -> Counter:
+    """(camp pieces, own soldiers, opposing soldiers) -> placements on player
+    A's half, ranks 1-5, with the king placed.  B's half counts the same:
+    ``geometry.zone`` builds B's zones as the mirrors of A's, a mirror keeps
+    each site's file, and ``_scan`` does not mind the order within a file."""
+    half = frozenset(s for s in board_sites() if s.rank <= 5)
+    camp = [(zone(variant, "A", "palace"), 1, False),
+            (zone(variant, "A", "advisor_sites"), 2, False)]
     if variant == "xiangqi":
-        camp.append((zone(variant, player, "elephant_sites"), 2, False))
-        own = (zone(variant, player, "soldier_own_side_sites"), 5, True)
+        camp.append((zone(variant, "A", "elephant_sites"), 2, False))
+        own = (zone(variant, "A", "soldier_own_side_sites"), 5, True)
     else:
-        own = (zone(variant, player, "middle_ranks") & half, 5, False)
+        own = (zone(variant, "A", "middle_ranks") & half, 5, False)
     scan = _scan(half, [*camp, own, (half, 5, False)])
     return _tally(((king + sum(others), soldiers, opposing), ways)
                   for (king, *others, soldiers, opposing), ways in scan.items() if king)
@@ -311,11 +315,13 @@ def _half(variant: str, player: str) -> Counter:
 
 @lru_cache(maxsize=None)
 def scan_positions(variant: str) -> Counter:
-    """Full-board light-stage placements by piece count, joining the two
-    halves so that each player has at most five soldiers in all."""
+    """Full-board light-stage placements by piece count, joining the half
+    scan with itself, once per player, so that each player has at most five
+    soldiers in all."""
+    half = _half(variant)
     return _tally((camp_a + home_a + away_b + camp_b + home_b + away_a, ways_a * ways_b)
-                  for (camp_a, home_a, away_b), ways_a in _half(variant, "A").items()
-                  for (camp_b, home_b, away_a), ways_b in _half(variant, "B").items()
+                  for (camp_a, home_a, away_b), ways_a in half.items()
+                  for (camp_b, home_b, away_a), ways_b in half.items()
                   if home_a + away_a <= 5 and home_b + away_b <= 5)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from statecount import oracle
 from statecount.combinatorics import pair_fill_count
+from statecount.geometry import board_sites, mirror
 from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
 from statecount.oracle import (
     OracleBoundError,
@@ -196,6 +197,25 @@ class TestPositionsOracle:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             enum_positions_small("chess", 3)
+
+
+@pytest.mark.parametrize("variant", ["xiangqi", "janggi"])
+def test_player_b_half_scans_as_player_a_half(variant, monkeypatch):
+    """``scan_positions`` joins player A's half scan with itself.  Scanning
+    B's real half, ranks 6-10 with every zone mirrored as B's, gives the same
+    Counter, although the scan meets the mirrored sites of each file in
+    reverse rank order."""
+    a_half = oracle._half(variant)
+    scan = oracle._scan
+
+    def b_scan(sites, kinds):
+        b_sites = [mirror(s) for s in sites]
+        assert set(b_sites) == {s for s in board_sites() if s.rank > 5}
+        return scan(b_sites, [(frozenset(map(mirror, zone_sites)), cap, one_per_file)
+                              for zone_sites, cap, one_per_file in kinds])
+
+    monkeypatch.setattr(oracle, "_scan", b_scan)
+    assert oracle._half.__wrapped__(variant) == a_half
 
 
 def test_oracle_imports_only_geometry():

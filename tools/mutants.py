@@ -15,8 +15,20 @@ the same way, must pass first.  ``--first``, which may be repeated, puts
 the fastest killers at the head of the run; every other
 ``tests/test_*.py`` file follows.
 
-Prints one JSON record: the mutant count, each mutant with the first test
-that failed on it (``null`` for a survivor), and the survivors.
+A mutant's run is stopped, and the mutant counted as killed (``"timeout"``),
+once it takes ``TIMEOUT_FACTOR`` times as long as the unmutated run: such a
+mutant loops, or widens a walk past any bound the tests can wait for.  A
+mutant may also slow the code it touches without making it wrong.  The
+slowest such survivor known turns ``max_total - 1 - pieces_a`` into
+``max_total + 1 - pieces_a`` in ``oracle._enum_positions_xq``; every walk it
+adds has negative room, and it runs the suite in 6.6 times the unmutated
+time.  And each core of a shared 2-core host switches between two speeds
+about 1.6x apart.  The factor, 12, covers both (6.6 x 1.6 = 10.6), while a
+looping mutant costs two or three minutes, not ten.  A timeout only says
+that the tests did not finish, so read each one by hand.
+
+Prints one JSON record: the timeout, the mutant count, each mutant with the
+first test that failed on it (``null`` for a survivor), and the survivors.
 """
 from __future__ import annotations
 
@@ -32,7 +44,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600  # the whole suite takes about 25 s on a 2-core host
+TIMEOUT_FACTOR = 12
 
 SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
@@ -81,16 +93,16 @@ def mutants(source: str):
         yield node.lineno, mutation, ast.unparse(tree)
 
 
-def run_tests(copy: Path, targets: list[str]) -> str | None:
+def run_tests(copy: Path, targets: list[str], timeout: float | None = None) -> str | None:
     """The first failing test id, or None when every test passes.  A run
-    that outlasts ``TIMEOUT_S`` (a mutant that loops) counts as killed."""
+    that outlasts ``timeout`` seconds (a mutant that loops) counts as killed."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              *targets],
-            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     if done.returncode == 0:
@@ -123,11 +135,12 @@ def main(argv: list[str] | None = None) -> int:
         if baseline is not None:
             print(json.dumps({"module": args.module, "baseline_failure": baseline}))
             return 1
-        print(f"baseline passed in {time.monotonic() - started:.1f} s",
-              file=sys.stderr)
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
+        print(f"baseline passed in {timeout / TIMEOUT_FACTOR:.1f} s; "
+              f"a mutant times out after {timeout:.0f} s", file=sys.stderr)
         for line, mutation, text in mutants(source):
             target.write_text(text)
-            killed_by = run_tests(copy, targets)
+            killed_by = run_tests(copy, targets, timeout)
             records.append({"line": line, "mutation": mutation, "killed_by": killed_by})
             print(f"line {line} {mutation}: {killed_by or 'SURVIVED'}", file=sys.stderr)
     records.sort(key=lambda r: r["line"])
@@ -137,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "module": args.module,
         "tests": ["pytest", "-x", "-q", *targets],
+        "timeout_s": round(timeout),
         "mutants": len(records),
         "killed": len(records) - len(survivors),
         "records": records,
