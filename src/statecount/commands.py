@@ -31,8 +31,8 @@ ORACLES = {
     "enum_home_jg": ((janggi.HOME_PIECES, janggi.SOLDIERS), str),
     "enum_pair_fill": ((range(9), range(17)), str),
     "count_pair_fill": ((range(9), range(17)), str),
-    # light pieces up to oracle.POSITIONS_MAX_LIGHT_PIECES
-    "enum_positions_small": ((VARIANTS, range(2, 5)), _by_pieces_text),
+    "enum_positions_small": ((VARIANTS, range(2, oracle.POSITIONS_MAX_LIGHT_PIECES + 1)),
+                             _by_pieces_text),
     "scan_positions": ((VARIANTS,), _by_pieces_text),
     "scan_total": ((VARIANTS,), str),
 }

@@ -7,7 +7,9 @@ beyond zone membership, so it is auditable by eye.  The pair fill draws
 every sequence as the numeral of its symbol counts and judges each distinct
 numeral once.  The others walk ``_subsets``, the subsets of a zone's free
 sites up to a size bound: ``_camps`` walks a king with its advisors and
-elephants, and ``_xq_soldiers`` keeps Xiangqi soldiers one per file.  The
+elephants, ``_one_per_file`` keeps Xiangqi soldiers one per file on their
+own side, and ``enum_positions_small`` is one walk for both variants, each
+player's ``_homes`` and then its soldiers on the ``_away`` sites.  The
 site-scan tier visits the board site by site: the grid oracles
 ``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one scan
 of a half or a home zone, ``scan_positions``/``scan_total`` join one half
@@ -27,7 +29,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
-from .geometry import FILES, board_sites, mirror, zone
+from .geometry import FILES, board_sites, zone
 
 _XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
@@ -78,9 +80,10 @@ def _camps(variant: str, player: str, most: int):
                     yield advisors, elephants, frozenset((king, *camp))
 
 
-def _xq_soldiers(taken, most: int):
-    """Own-half soldier subsets avoiding ``taken``, at most one per file."""
-    return (subset for subset in _subsets(_XQ_SOLDIER, taken, most)
+def _one_per_file(sites, taken, most: int):
+    """Subsets of the sites not in ``taken``, at most ``most`` sites and at
+    most one on any file."""
+    return (subset for subset in _subsets(sites, taken, most)
             if len({s.file for s in subset}) == len(subset))
 
 
@@ -112,16 +115,7 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
     unavailable.  Domain <= 2^10.
     """
     blocked = sorted(_XQ_SHARED)[:shared_sites_blocked]
-    return sum(len(subset) == soldiers for subset in _xq_soldiers(blocked, soldiers))
-
-
-def _xq_side_placements(max_extra: int):
-    """Yield (occupied sites, pieces, soldiers) for one player's own half: a
-    camp and one-per-file soldiers, at most ``max_extra`` pieces besides the
-    king."""
-    for _, _, camp in _camps("xiangqi", "A", max_extra):
-        for soldiers in _xq_soldiers(camp, min(5, max_extra + 1 - len(camp))):
-            yield camp.union(soldiers), len(camp) + len(soldiers), len(soldiers)
+    return sum(len(subset) == soldiers for subset in _one_per_file(_XQ_SOLDIER, blocked, soldiers))
 
 
 @lru_cache(maxsize=1)
@@ -196,13 +190,34 @@ def enum_pair_fill(m: int, n: int) -> int:
                if all(code // base ** s % base < 3 for s in range(m)))
 
 
+def _homes(variant: str, player: str, most: int):
+    """Yield (occupied sites, soldiers) for each of a player's home
+    placements: a camp and, in Xiangqi, one-per-file soldiers on the
+    player's own soldier sites, at most ``most`` pieces besides the king."""
+    own = zone(variant, player, "soldier_own_side_sites") if variant == "xiangqi" else ()
+    for _, _, camp in _camps(variant, player, most):
+        for soldiers in _one_per_file(own, camp, min(5, most + 1 - len(camp))):
+            yield camp.union(soldiers), len(soldiers)
+
+
+def _away(variant: str, player: str) -> frozenset:
+    """The sites a player's other soldiers may take: the opposing half in
+    Xiangqi, the middle ranks and the opposing home zone in Janggi."""
+    if variant == "xiangqi":
+        return frozenset(s for s in board_sites() if (s.rank <= 5) != (player == "A"))
+    opponent = "B" if player == "A" else "A"
+    return zone(variant, player, "middle_ranks") | zone(variant, opponent, "home_zone")
+
+
 def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     """Directly enumerate full-board light-piece placements, by piece count.
 
     Both kings are always present; advisors/elephants/soldiers are added up
-    to the total bound.  Every subset is enumerated over concrete sites,
-    including river-crossed soldiers (Xiangqi) and middle-rank soldiers
-    (Janggi), so this is the final arbiter for the small convolution values.
+    to the total bound.  One walk serves both variants: each player's home
+    placements (``_homes``), then its other soldiers on its ``_away`` sites,
+    at most five soldiers a player.  Every subset is enumerated over
+    concrete sites, each player on its own zones, so this is the final
+    arbiter for the small convolution values.
     """
     if max_light_pieces > POSITIONS_MAX_LIGHT_PIECES:
         raise OracleBoundError(
@@ -211,44 +226,15 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
         )
     if max_light_pieces < 2:
         raise OracleBoundError("both kings are always on the board; need >= 2")
-    if variant == "xiangqi":
-        return _enum_positions_xq(max_light_pieces)
-    if variant == "janggi":
-        return _enum_positions_jg(max_light_pieces)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _enum_positions_xq(max_total: int) -> Counter:
-    """Both players' own-half placements, B's mirrored onto ranks 6-10, then
-    each player's river-crossed soldiers on the free sites of the other
-    half."""
-    a_half = [s for s in board_sites() if s.rank <= 5]
-    b_half = [mirror(s) for s in a_half]
     counts: Counter = Counter()
-    for occ_a, pieces_a, soldiers_a in _xq_side_placements(max_total - 2):
-        for occ_b, pieces_b, soldiers_b in _xq_side_placements(max_total - 1 - pieces_a):
-            room = max_total - pieces_a - pieces_b
-            for crossed_a in _subsets(b_half, set(map(mirror, occ_b)), min(5 - soldiers_a, room)):
-                for crossed_b in _subsets(a_half, occ_a,
-                                          min(5 - soldiers_b, room - len(crossed_a))):
-                    counts[pieces_a + pieces_b + len(crossed_a) + len(crossed_b)] += 1
-    return counts
-
-
-def _enum_positions_jg(max_total: int) -> Counter:
-    """Both camps, then each player's soldiers on the middle ranks and the
-    opposing home zone."""
-    middle = zone("janggi", "A", "middle_ranks")
-    a_soldier_zone = middle | zone("janggi", "B", "home_zone")
-    b_soldier_zone = middle | zone("janggi", "A", "home_zone")
-    counts: Counter = Counter()
-    for _, _, camp_a in _camps("janggi", "A", max_total - 2):
-        for _, _, camp_b in _camps("janggi", "B", max_total - 1 - len(camp_a)):
-            occupied = camp_a | camp_b
-            room = max_total - len(occupied)
-            for sold_a in _subsets(a_soldier_zone, occupied, min(5, room)):
-                for sold_b in _subsets(b_soldier_zone, occupied.union(sold_a),
-                                       min(5, room - len(sold_a))):
+    away_a, away_b = _away(variant, "A"), _away(variant, "B")
+    for occ_a, home_a in _homes(variant, "A", max_light_pieces - 2):
+        for occ_b, home_b in _homes(variant, "B", max_light_pieces - 1 - len(occ_a)):
+            occupied = occ_a | occ_b
+            room = max_light_pieces - len(occupied)
+            for sold_a in _subsets(away_a, occupied, min(5 - home_a, room)):
+                for sold_b in _subsets(away_b, occupied.union(sold_a),
+                                       min(5 - home_b, room - len(sold_a))):
                     counts[len(occupied) + len(sold_a) + len(sold_b)] += 1
     return counts
 

@@ -76,13 +76,13 @@ class TestSideOracle:
         # the joint placement enumeration checks the scan behind tables 4 and 5;
         # nine pieces besides the king (two advisors, two elephants, five
         # soldiers) leave it unbounded
-        placements = Counter((45 - pieces, soldiers)
-                             for _, pieces, soldiers in oracle._xq_side_placements(9))
+        placements = Counter((45 - len(occupied), soldiers)
+                             for occupied, soldiers in oracle._homes("xiangqi", "A", 9))
         assert placements == Counter({(blanks, soldiers): enum_side_exact_xq(blanks, soldiers)
                                       for blanks in range(35, 45) for soldiers in range(6)})
         for most in range(4):
-            bounded = Counter((45 - pieces, soldiers)
-                              for _, pieces, soldiers in oracle._xq_side_placements(most))
+            bounded = Counter((45 - len(occupied), soldiers)
+                              for occupied, soldiers in oracle._homes("xiangqi", "A", most))
             assert bounded == Counter({(blanks, soldiers): ways
                                        for (blanks, soldiers), ways in placements.items()
                                        if 45 - blanks <= most + 1})
@@ -157,9 +157,33 @@ class TestPairFillOracle:
             tuple(pool[s] for s in seq) for seq in drawn))
         assert enum_pair_fill(4, 5) == 5
 
-    def test_bound_error_states_the_bound(self):
+    def test_bound_error_states_the_bound(self, monkeypatch):
+        """The bound is checked before the first sequence is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sequences drawn past the bound")
+        monkeypatch.setattr(oracle, "product", no_draw)
         with pytest.raises(OracleBoundError, match="68719476736 sequences.*20000000"):
             enum_pair_fill(8, 12)
+
+
+@pytest.mark.parametrize("variant", ["xiangqi", "janggi"])
+def test_positions_walk_keeps_its_piece_budget(variant, monkeypatch):
+    """The piece budgets prune the full-board walk: a wider budget draws
+    more subsets from ``_subsets`` though the counts come out the same.  The
+    count stops the walk at the first draw past the total, so a widened
+    walk fails at once."""
+    budget = {"xiangqi": 22_078, "janggi": 19_622}[variant]
+    subsets, drawn = oracle._subsets, [0]
+
+    def counting_subsets(*args):
+        for subset in subsets(*args):
+            drawn[0] += 1
+            if drawn[0] > budget:
+                raise AssertionError(f"the walk draws more than {budget} subsets")
+            yield subset
+    monkeypatch.setattr(oracle, "_subsets", counting_subsets)
+    enum_positions_small(variant, 3)
+    assert drawn[0] == budget
 
 
 class TestPositionsOracle:
@@ -257,7 +281,7 @@ def _reached(function) -> set[str]:
 
 
 @pytest.mark.parametrize("name", ["enum_camp_xq", "enum_soldiers_xq", "enum_pair_fill",
-                                  "enum_positions_small", "_xq_side_placements"])
+                                  "enum_positions_small", "_homes"])
 def test_brute_force_tier_never_reaches_the_scan(name):
     """The brute-force oracles and the test reference for the half scan stay
     independent of the site scan, so the two tiers check each other."""

@@ -18,17 +18,20 @@ the fastest killers at the head of the run; every other
 A mutant's run is stopped, and the mutant counted as killed (``"timeout"``),
 once it takes ``TIMEOUT_FACTOR`` times as long as the unmutated run: such a
 mutant loops, or widens a walk past any bound the tests can wait for.  A
-mutant may also slow the code it touches without making it wrong.  The
-slowest such survivor known turns ``max_total - 1 - pieces_a`` into
-``max_total + 1 - pieces_a`` in ``oracle._enum_positions_xq``; every walk it
-adds has negative room, and it runs the suite in 6.6 times the unmutated
-time.  And each core of a shared 2-core host switches between two speeds
-about 1.6x apart.  The factor, 12, covers both (6.6 x 1.6 = 10.6), while a
-looping mutant costs two or three minutes, not ten.  A timeout only says
-that the tests did not finish, so read each one by hand.
+mutant may also slow the code it touches without making it wrong.  In two
+``oracle.py`` censuses, whose unmutated runs took 16.3 and 17.0 s, the
+slowest such survivor, ``most > 0`` -> ``most >= 0`` in ``oracle._subsets``,
+took 26.7 and 22.6 s, at most 1.6 times as long, and each core of a shared
+2-core host switches between two speeds about 1.6x apart: 2.6 times in
+all.  The factor stays at 12: no mutant of those censuses timed out, so a
+smaller factor would have saved nothing there, and it would risk false
+kills in modules whose slowest equivalent mutant has not been timed, while
+a looping mutant still costs three or four minutes, not ten.  A timeout only says that the tests did
+not finish, so read each one by hand.
 
-Prints one JSON record: the timeout, the mutant count, each mutant with the
-first test that failed on it (``null`` for a survivor), and the survivors.
+Prints one JSON record: the unmutated run's seconds, the timeout, the
+mutant count, each mutant with the first test that failed on it (``null``
+for a survivor) and its run's seconds, and the survivors.
 """
 from __future__ import annotations
 
@@ -132,17 +135,22 @@ def main(argv: list[str] | None = None) -> int:
         target.write_text(ast.unparse(ast.parse(source)))
         started = time.monotonic()
         baseline = run_tests(copy, targets)
+        baseline_s = time.monotonic() - started
         if baseline is not None:
             print(json.dumps({"module": args.module, "baseline_failure": baseline}))
             return 1
-        timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
-        print(f"baseline passed in {timeout / TIMEOUT_FACTOR:.1f} s; "
+        timeout = TIMEOUT_FACTOR * baseline_s
+        print(f"baseline passed in {baseline_s:.1f} s; "
               f"a mutant times out after {timeout:.0f} s", file=sys.stderr)
         for line, mutation, text in mutants(source):
             target.write_text(text)
+            started = time.monotonic()
             killed_by = run_tests(copy, targets, timeout)
-            records.append({"line": line, "mutation": mutation, "killed_by": killed_by})
-            print(f"line {line} {mutation}: {killed_by or 'SURVIVED'}", file=sys.stderr)
+            seconds = round(time.monotonic() - started, 1)
+            records.append({"line": line, "mutation": mutation, "killed_by": killed_by,
+                            "seconds": seconds})
+            print(f"line {line} {mutation}: {killed_by or 'SURVIVED'} ({seconds} s)",
+                  file=sys.stderr)
     records.sort(key=lambda r: r["line"])
     lines = source.splitlines()
     survivors = [{**r, "source": lines[r["line"] - 1].strip()}
@@ -150,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "module": args.module,
         "tests": ["pytest", "-x", "-q", *targets],
+        "baseline_s": round(baseline_s, 1),
         "timeout_s": round(timeout),
         "mutants": len(records),
         "killed": len(records) - len(survivors),
