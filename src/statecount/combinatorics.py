@@ -15,8 +15,8 @@ def binom(n: int, k: int) -> int:
     """C(n, k), returning 0 outside the domain instead of raising.
 
     ``math.comb`` already gives 0 for k > n; only the negative arguments it
-    rejects need a guard.  Convolution loops can therefore iterate
-    rectangular index ranges without edge-case guards.
+    rejects need a guard.  The cross factors of ``light_stage`` can therefore
+    take every index of its rectangular ranges without edge-case guards.
     """
     if n < 0 or k < 0:
         return 0
@@ -40,6 +40,23 @@ def pair_fill_count(m: int, n: int) -> int:
     """
     return sum(binom(m, i) * binom(m - i, n - 2 * i) * math.factorial(n) // 2 ** i
                for i in range(n // 2 + 1))
+
+
+def light_stage(sides: range, soldiers: range, cell: Callable[[int, int], int],
+                cross: Callable[[int, int, int, int], int],
+                spare: Callable[[int, int], int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Nonzero (n1, k1, n2, k2, cell(n1, k1) * cell(n2, k2) * cross(n1, k1, n2, k2)):
+    both players' grid cells over n1, n2 in ``sides``, with soldiers k1, k2 in
+    ``soldiers`` outside them, k1 + k2 = spare(n1, n2)."""
+    for n1 in sides:
+        for n2 in sides:
+            both = spare(n1, n2)
+            for k1 in soldiers:
+                k2 = both - k1
+                if k2 in soldiers:
+                    value = cell(n1, k1) * cell(n2, k2) * cross(n1, k1, n2, k2)
+                    if value:
+                        yield n1, k1, n2, k2, value
 
 
 def heavy_stage(light: Iterable[tuple[int, int]], choose: Callable[[int, int], int],

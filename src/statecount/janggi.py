@@ -9,8 +9,8 @@ king/advisors plus the *opponent's* soldiers.
 1. ``jg_palace_arrangements``: king + advisors inside one palace.
 2. ``jg_home_count``: one home zone filled with its owner's palace pieces
    and opposing soldiers, reserving at least k opposing soldiers.
-3. ``jg_positions``: two home zones convolved with both players' remaining
-   soldiers on the shared middle ranks; indexed by pieces placed.
+3. ``jg_positions``: ``light_stage`` convolves two home zones with both
+   players' remaining soldiers on the middle ranks; indexed by pieces placed.
 4. ``jg_grand_total``: ``heavy_stage`` fills chariots/horses/elephants/cannons
    (eight within-pair-identical pairs) onto the remaining blanks.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .combinatorics import binom, heavy_stage, pair_fill_count
+from .combinatorics import binom, heavy_stage, light_stage, pair_fill_count
 from .geometry import board_sites, zone
 
 PALACE = zone("janggi", "A", "palace")
@@ -69,25 +69,15 @@ def jg_home_count(n: int, k: int) -> int:
 
 
 def convolution_terms(n: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Nonzero convolution terms (n1, k1, n2, k2, value) using n pieces.
+    """Nonzero ``light_stage`` terms (n1, k1, n2, k2, value) using n pieces.
 
     n1, n2 are home-zone piece counts; k1, k2 are the players' soldiers on
     the middle ranks, placed sequentially on the shared 36 sites.
     """
-    for n1 in HOME_PIECES:
-        for n2 in HOME_PIECES:
-            for k1 in SOLDIERS:
-                k2 = n - n1 - n2 - k1
-                if not 0 <= k2 <= MAX_SOLDIERS:
-                    continue
-                value = (
-                    jg_home_count(n1, k1)
-                    * jg_home_count(n2, k2)
-                    * binom(len(MIDDLE_RANKS), k1)
-                    * binom(len(MIDDLE_RANKS) - k1, k2)
-                )
-                if value:
-                    yield n1, k1, n2, k2, value
+    return light_stage(HOME_PIECES, SOLDIERS, jg_home_count,
+                       lambda n1, k1, n2, k2: binom(len(MIDDLE_RANKS), k1)
+                       * binom(len(MIDDLE_RANKS) - k1, k2),
+                       lambda n1, n2: n - n1 - n2)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ The pipeline, in order:
 3. ``side_exact`` / ``side_reserve``: the half-board occupancy grid, keyed
    by blank sites and soldiers used (exact) or soldiers still available
    (cumulative reserve).
-4. ``xq_positions``: the two-player convolution, adding river-crossed
-   soldiers on the opponent's blanks; indexed by total blank sites.
+4. ``xq_positions``: ``light_stage`` convolves the two half-boards, adding
+   river-crossed soldiers on the opponent's blanks; indexed by blanks.
 5. ``xq_grand_total``: ``heavy_stage`` fills chariots/horses/cannons (six
    within-pair-identical pairs) onto the remaining blanks.
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .combinatorics import binom, heavy_stage, pair_fill_count
+from .combinatorics import binom, heavy_stage, light_stage, pair_fill_count
 from .geometry import zone
 
 PALACE = zone("xiangqi", "A", "palace")
@@ -142,27 +142,16 @@ def side_reserve(blanks: int, reserve: int) -> int:
 
 
 def convolution_terms(x: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Nonzero convolution terms (n1, k1, n2, k2, value) with blanks x.
+    """Nonzero ``light_stage`` terms (n1, k1, n2, k2, value) with blanks x.
 
     n1, n2 are blanks left by each player's own-half arrangement; k1, k2 are
     soldiers each player sends across the river onto the opponent's blanks.
     The feasibility bounds (n - k >= 35 etc.) hold automatically because
     ``side_reserve`` is 0 outside them.
     """
-    for n1 in SIDE_BLANKS:
-        for n2 in SIDE_BLANKS:
-            for k1 in SOLDIERS:
-                k2 = n1 + n2 - k1 - x
-                if not 0 <= k2 <= MAX_SOLDIERS:
-                    continue
-                value = (
-                    side_reserve(n1, k1)
-                    * side_reserve(n2, k2)
-                    * binom(n1, k2)
-                    * binom(n2, k1)
-                )
-                if value:
-                    yield n1, k1, n2, k2, value
+    return light_stage(SIDE_BLANKS, SOLDIERS, side_reserve,
+                       lambda n1, k1, n2, k2: binom(n1, k2) * binom(n2, k1),
+                       lambda n1, n2: n1 + n2 - x)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from statecount import fixtures, janggi, xiangqi
+from statecount import combinatorics, fixtures, janggi, xiangqi
 from statecount.combinatorics import binom, pair_fill_count
 from statecount.geometry import validate_geometry, zone
 from statecount.janggi import (
@@ -112,9 +112,11 @@ def test_c05_light_stage_enumeration_anchors():
 
 
 def test_c06_grand_total_runtime_and_magnitude():
-    side_reserve.cache_clear()
-    side_exact.cache_clear()
-    xq_positions.cache_clear()
+    # fully cold: every memo table the Xiangqi closed form reads
+    for module in (combinatorics, xiangqi):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear") and fn.__module__ == module.__name__:
+                fn.cache_clear()
     started = time.perf_counter()
     total = xq_grand_total()
     elapsed = time.perf_counter() - started

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from statecount.combinatorics import binom, heavy_stage, pair_fill_count
+from statecount.combinatorics import binom, heavy_stage, light_stage, pair_fill_count
 
 from frozen import TRUE_JG_SLIST
 
@@ -83,6 +83,49 @@ class TestPairFillCount:
         value = pair_fill_count(8, 16)
         assert isinstance(value, int)
         assert int(str(value)) == value
+
+
+class TestLightStage:
+    SIDES = range(1, 4)
+    SOLDIERS = range(3)
+
+    @staticmethod
+    def cell(n, k):
+        # zero at (2, 1) only; nonzero for every k outside SOLDIERS too
+        return 0 if (n, k) == (2, 1) else n + k + 2
+
+    @staticmethod
+    def cross(n1, k1, n2, k2):
+        return 1 + 10 * n1 + n2 + k1 * k2 ** 2
+
+    @staticmethod
+    def spare(n1, n2):
+        return n1 + n2 - 1
+
+    def terms(self, soldiers=SOLDIERS):
+        return list(light_stage(self.SIDES, soldiers, self.cell, self.cross, self.spare))
+
+    def test_matches_naive_four_level_loop(self):
+        expected = []
+        for n1, n2, k1, k2 in product(self.SIDES, self.SIDES, self.SOLDIERS, self.SOLDIERS):
+            value = self.cell(n1, k1) * self.cell(n2, k2) * self.cross(n1, k1, n2, k2)
+            if k1 + k2 == self.spare(n1, n2) and value:
+                expected.append((n1, k1, n2, k2, value))
+        assert self.terms() == expected
+
+    def test_zero_cell_is_not_yielded(self):
+        indices = [t[:4] for t in self.terms()]
+        assert (1, 1, 2, 1) not in indices and (2, 1, 1, 1) not in indices
+        # the same sides with nonzero cells are yielded
+        assert (1, 0, 2, 2) in indices and (2, 0, 1, 2) in indices
+        assert all(value for *_, value in self.terms())
+
+    def test_k2_outside_soldiers_is_dropped(self):
+        # spare(3, 3) = 5 needs k2 >= 3, and spare(1, 1) = 1 gives k2 = -1 at k1 = 2
+        assert all(k2 in self.SOLDIERS for _, _, _, k2, _ in self.terms())
+        assert not any(n1 == n2 == 3 for n1, _, n2, *_ in self.terms())
+        assert (1, 2, 1, -1) not in [t[:4] for t in self.terms()]
+        assert (3, 2, 3, 3) in [t[:4] for t in self.terms(range(4))]
 
 
 class TestHeavyStage:
