@@ -4,11 +4,12 @@ Two tiers of oracles count every published value again.  The brute-force
 tier, ``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
 ``enum_positions_small``, enumerates concrete placements with no shortcuts
 beyond zone membership, so it is auditable by eye.  The pair fill draws
-every sequence as the numeral of its symbol counts and judges each distinct
-numeral once.  The others walk ``_subsets``, the subsets of a zone's free
-sites up to a size bound: ``_camps`` walks a king with its advisors and
-elephants, ``_one_per_file`` keeps Xiangqi soldiers one per file on their
-own side, and ``enum_positions_small`` is one walk for both variants, each
+every sequence as the numeral of its symbol counts and judges each drawn
+sequence by whether that numeral has no digit above 2.  The others walk
+``_subsets``, the subsets of a zone's free sites up to a size bound:
+``_camps`` walks a king with its advisors and elephants,
+``_one_per_file`` keeps Xiangqi soldiers one per file on their own side,
+and ``enum_positions_small`` is one walk for both variants, each
 player's ``_homes`` and then its soldiers on the ``_away`` sites.  The
 site-scan tier visits the board site by site: the grid oracles
 ``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one scan
@@ -175,7 +176,10 @@ def enum_pair_fill(m: int, n: int) -> int:
     n <= 8 at m = 8 (Janggi).  Symbol s weighs (n + 1) ** s, so a sequence
     sums to the base-(n + 1) numeral of its symbol counts (each at most n),
     which it shares exactly with the sequences of its sorted copy.  Each
-    distinct sum is judged once: with no digit above 2, its sequences count.
+    drawn sequence is judged on its own: it counts if its numeral is in
+    ``valid``, the 3^m numerals with no digit above 2.  That is exact: for
+    n >= 2 the base is at least 3, so each such numeral is written one way
+    only; for n <= 1 no symbol can be used three times.
     """
     if n < 0 or m < 0:
         return 0
@@ -185,9 +189,11 @@ def enum_pair_fill(m: int, n: int) -> int:
             f"bound is {PAIR_FILL_MAX_SEQUENCES}"
         )
     base = n + 1
-    codes = Counter(map(sum, product([base ** s for s in range(m)], repeat=n)))
-    return sum(ways for code, ways in codes.items()
-               if all(code // base ** s % base < 3 for s in range(m)))
+    valid = {0}
+    for s in range(m):
+        valid = {code + d * base ** s for code in valid for d in (0, 1, 2)}
+    return sum(map(valid.__contains__,
+                   map(sum, product([base ** s for s in range(m)], repeat=n))))
 
 
 def _homes(variant: str, player: str, most: int):

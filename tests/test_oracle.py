@@ -128,7 +128,8 @@ class TestPairFillOracle:
 
     def test_every_sequence_is_visited(self, monkeypatch):
         """No shortcut: the brute force draws all m^n sequences from
-        ``product`` and judges each one."""
+        ``product`` and judges each one, and a second call draws them all
+        again, so nothing is memoized."""
         real_product, drawn = oracle.product, []
 
         def counting_product(*args, **kwargs):
@@ -136,6 +137,9 @@ class TestPairFillOracle:
                 drawn.append(seq)
                 yield seq
         monkeypatch.setattr(oracle, "product", counting_product)
+        assert enum_pair_fill(4, 6) == count_pair_fill(4, 6)
+        assert len(drawn) == len(set(drawn)) == 4 ** 6
+        drawn.clear()
         assert enum_pair_fill(4, 6) == count_pair_fill(4, 6)
         assert len(drawn) == len(set(drawn)) == 4 ** 6
 
