@@ -10,9 +10,10 @@ module but ``geometry`` is deferred: importing this one registers it in
 ``sys.modules``, where callers such as the benchmark tracer look it up, but
 runs its body only on first attribute use.  Imports inside the handlers
 would leave them unregistered.  ``xiangqi`` and ``janggi`` hold one variant's
-closed forms each, with ``combinatorics`` under both; ``oracle``,
-``fixtures`` and ``verify`` serve ``verify``, ``oracle`` and the ``slist``
-table; ``commands`` is the argparse parser.
+closed forms each, with ``combinatorics`` under both, and the layout of each
+table printed from them in their ``TABLES``; ``oracle``, ``fixtures`` and
+``verify`` serve ``verify``, ``oracle`` and the ``slist`` table; ``commands``
+is the argparse parser.
 
 ``count`` and ``table`` argvs in their canonical form (``_fast_args``) are
 parsed without argparse, whose import and parser construction would cost each
@@ -58,24 +59,11 @@ TABLES_BY_VARIANT = {
     "xiangqi": ("t1", "t2", "t3", "t4", "t5", "klist", "slist", "geometry"),
     "janggi": ("t6", "klist", "slist", "geometry"),
 }
-# each variant's closed-form module.  LISTS and GRIDS name its attributes, looked
-# up at call time, so a process runs only its own variant's module and a
-# patched closed form is seen by every cell
+# each variant's closed-form module, whose TABLES lay out every table but slist
+# and geometry; a process runs only its own variant's module
 PIPELINES = {"xiangqi": xiangqi, "janggi": janggi}
-# per variant: index header, light-stage indices and closed form, pair-fill family
-LISTS = {
-    "xiangqi": ("blanks", "BLANKS_RANGE", "xq_positions", "xq.dlist"),
-    "janggi": ("pieces", "PIECES_RANGE", "jg_positions", "jg.slist"),
-}
-# t3-t6 print one closed form as a grid: the closed form, row header, row
-# indices, column header prefix, column indices, and whether the closed form
-# takes the column first
-GRIDS = {
-    "t3": ("soldier_own_side", "soldiers", "SOLDIERS", "blank_", "BLANK_SOLDIER_SITES", True),
-    "t4": ("side_exact", "soldiers", "SOLDIERS", "blanks_", "SIDE_BLANKS", True),
-    "t5": ("side_reserve", "reserve", "SOLDIERS", "blanks_", "SIDE_BLANKS", True),
-    "t6": ("jg_home_count", "pieces", "HOME_PIECES", "reserve_", "SOLDIERS", False),
-}
+# the pair-fill family each variant's slist prints beside its closed form
+SLISTS = {"xiangqi": "xq.dlist", "janggi": "jg.slist"}
 # the options of count and table, in the order argparse lists them: name ->
 # choices; --format is optional with its first choice the default, and every
 # other option is required
@@ -126,9 +114,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_count(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
-    terms = list(PIPELINES[args.variant].grand_total_terms())
+    pipeline = PIPELINES[args.variant]
+    terms = list(pipeline.grand_total_terms())
     total = sum(term for *_, term in terms)
-    index_name = LISTS[args.variant][0]
+    (index_name,), *_ = pipeline.TABLES["klist"]
     if args.format == "dec":
         return str(total), 0
     import json  # in the JSON branches only: dec and csv output never load it
@@ -158,36 +147,21 @@ def _cmd_table(args: argparse.Namespace | SimpleNamespace) -> tuple[str, int]:
 
 
 def _build_table(variant: str, table_id: str) -> tuple[list[str], list[list[str]]]:
-    pipeline = PIPELINES[variant]
-    if table_id in GRIDS:
-        form, row_header, row_range, prefix, col_range, column_first = GRIDS[table_id]
-        cell, row_indices, col_indices = (getattr(pipeline, name)
-                                          for name in (form, row_range, col_range))
-        headers = [row_header] + [f"{prefix}{c}" for c in col_indices]
-        rows = [[str(r)] + [str(cell(c, r) if column_first else cell(r, c)) for c in col_indices]
-                for r in row_indices]
-        return headers, rows
-    index_name, indices, positions, slist = LISTS[variant]
-    if table_id == "klist":
-        count = getattr(pipeline, positions)
-        return [index_name, "count"], [[str(i), str(count(i))] for i in getattr(pipeline, indices)]
-    if table_id == "slist":
-        fam = fixtures.FAMILIES[slist]
-        rows = []
-        for (k,), printed in fam.values.items():
-            computed = fam.compute(k)
-            status = "ok" if computed == printed else "typo-suspect"
-            rows.append([str(k), str(computed), str(printed), status])
-        return ["sites", "computed", "printed", "status"], rows
-    if table_id == "t1":
-        headers = ["used_pieces", "advisors", "elephants"]
-        camp = [(a + e + 1, a, e, xiangqi.camp_classes(a, e))
-                for a in (2, 1, 0) for e in (2, 1, 0)]
-    else:  # t2
-        headers = ["used_pieces"]
-        camp = [(p, xiangqi.camp_by_piece_count(p)) for p in (5, 4, 3, 2, 1)]
-    rows = [[str(v) for v in (*lead, *row)] for *lead, row in camp]
-    return [*headers, *xiangqi.CampClassRow._fields], rows
+    layout = _slist(variant) if table_id == "slist" else PIPELINES[variant].TABLES[table_id]
+    key_headers, keys, value_headers, values = layout
+    return ([*key_headers, *value_headers],
+            [[str(v) for v in (*key, *values(*key))] for key in keys])
+
+
+def _slist(variant: str) -> tuple:
+    """The layout of a pair-fill list: each printed value beside the closed
+    form's, and whether the two agree."""
+    fam = fixtures.FAMILIES[SLISTS[variant]]
+
+    def values(k: int) -> tuple:
+        computed, printed = fam.compute(k), fam.values[k,]
+        return computed, printed, "ok" if computed == printed else "typo-suspect"
+    return ("sites",), fam.values, ("computed", "printed", "status"), values
 
 
 def _render_geometry(args: argparse.Namespace | SimpleNamespace) -> str:

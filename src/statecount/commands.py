@@ -19,6 +19,8 @@ def _by_pieces_text(counts) -> str:
     return " ".join(f"{t}:{counts[t]}" for t in sorted(counts))
 
 
+# pairs up to Janggi's eight, on up to their sixteen sites
+_PAIR_FILL_DOMAINS = (range(janggi.HEAVY_PAIRS + 1), range(2 * janggi.HEAVY_PAIRS + 1))
 # target (the name of its oracle function) -> (one domain per parameter, how the
 # result prints); a domain is a range or a tuple of names, and the ranges index
 # the published tables checked
@@ -29,8 +31,8 @@ ORACLES = {
     "enum_side_exact_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),
     "enum_side_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),
     "enum_home_jg": ((janggi.HOME_PIECES, janggi.SOLDIERS), str),
-    "enum_pair_fill": ((range(9), range(17)), str),
-    "count_pair_fill": ((range(9), range(17)), str),
+    "enum_pair_fill": (_PAIR_FILL_DOMAINS, str),
+    "count_pair_fill": (_PAIR_FILL_DOMAINS, str),
     "enum_positions_small": ((VARIANTS, range(2, oracle.POSITIONS_MAX_LIGHT_PIECES + 1)),
                              _by_pieces_text),
     "scan_positions": ((VARIANTS,), _by_pieces_text),

@@ -254,17 +254,6 @@ ALL_FIXTURES: tuple[ReferenceFixture, ...] = tuple(
     for fam in FAMILIES.values() for key, value in fam.values.items()
 )
 
-_BY_ID = {f.quantity_id: f for f in ALL_FIXTURES}
-assert len(_BY_ID) == len(ALL_FIXTURES), "fixture ids must be unique"
-
-
-def fixture(quantity_id: str) -> ReferenceFixture:
-    try:
-        return _BY_ID[quantity_id]
-    except KeyError:
-        raise ValueError(f"unknown quantity id {quantity_id!r}") from None
-
-
 def fixtures_for_scope(scope: str) -> list[ReferenceFixture]:
     """Fixture subsets for the verify scopes.
 

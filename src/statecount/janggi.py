@@ -96,3 +96,12 @@ def grand_total_terms() -> Iterator[tuple[int, int, int]]:
 def jg_grand_total() -> int:
     """The state-space count: light-stage positions times heavy-piece fills."""
     return sum(term for _, _, term in grand_total_terms())
+
+
+# the tables ``statecount table`` prints from this module, laid out as
+# ``xiangqi.TABLES`` are
+TABLES = {
+    "t6": (("pieces",), [(n,) for n in HOME_PIECES], [f"reserve_{k}" for k in SOLDIERS],
+           lambda n: [jg_home_count(n, k) for k in SOLDIERS]),
+    "klist": (("pieces",), [(n,) for n in PIECES_RANGE], ("count",), lambda n: [jg_positions(n)]),
+}

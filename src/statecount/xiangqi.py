@@ -169,3 +169,23 @@ def grand_total_terms() -> Iterator[tuple[int, int, int]]:
 def xq_grand_total() -> int:
     """The state-space count: light-stage positions times heavy-piece fills."""
     return sum(term for _, _, term in grand_total_terms())
+
+
+# The tables ``statecount table`` prints from this module, each one record:
+# (key headers, row keys, value headers, values(*key)), a printed row being its
+# key followed by its values.  Each ``values`` looks its closed form up when
+# called, so a rebound or wrapped closed form is seen by every cell.
+TABLES = {
+    "t1": (("used_pieces", "advisors", "elephants"),
+           [(a + e + 1, a, e) for a in (2, 1, 0) for e in (2, 1, 0)],
+           CampClassRow._fields, lambda used, a, e: camp_classes(a, e)),
+    "t2": (("used_pieces",), [(p,) for p in range(MAX_CAMP_PIECES, 0, -1)],
+           CampClassRow._fields, lambda p: camp_by_piece_count(p)),
+    "t3": (("soldiers",), [(s,) for s in SOLDIERS], [f"blank_{b}" for b in BLANK_SOLDIER_SITES],
+           lambda s: [soldier_own_side(b, s) for b in BLANK_SOLDIER_SITES]),
+    "t4": (("soldiers",), [(s,) for s in SOLDIERS], [f"blanks_{n}" for n in SIDE_BLANKS],
+           lambda s: [side_exact(n, s) for n in SIDE_BLANKS]),
+    "t5": (("reserve",), [(k,) for k in SOLDIERS], [f"blanks_{n}" for n in SIDE_BLANKS],
+           lambda k: [side_reserve(n, k) for n in SIDE_BLANKS]),
+    "klist": (("blanks",), [(x,) for x in BLANKS_RANGE], ("count",), lambda x: [xq_positions(x)]),
+}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from statecount import cli, fixtures, janggi, oracle, verify, xiangqi
-from statecount.cli import GRIDS, OPTIONS, TABLES_BY_VARIANT, _fast_args, main
+from statecount.cli import OPTIONS, PIPELINES, TABLE_IDS, TABLES_BY_VARIANT, _fast_args, main
 from statecount.commands import ORACLES, build_parser
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
@@ -145,27 +145,64 @@ class TestVerifyCommand:
         assert "[match] jg.slist.5" in out
 
 
-# the fixtures family each grid prints, and whether its key is (column, row)
-GRID_FAMILIES = {"t3": ("xq.table3", True), "t4": ("xq.table4", True),
-                 "t5": ("xq.table5", True), "t6": ("jg.table6", False)}
+def _indexed(header):
+    """The index a grid's value header carries: ``blanks_40`` -> 40."""
+    return int(header.rpartition("_")[2])
 
 
-def test_every_printed_grid_cell_matches_its_oracle(capsys):
-    """Each cell ``table`` prints for t3-t6, also those the paper does not
-    print, equals its family's oracle at the matching key."""
+def _camp_column(header):
+    """The fixtures column of a camp table's value header."""
+    return fixtures.CAMP_COLUMNS[xiangqi.CampClassRow._fields.index(header)]
+
+
+# per printed table: the fixtures family whose oracle checks its cells, and the
+# family key of the cell in the row with key ``key`` under value header ``header``
+PRINTED_FAMILIES = {
+    ("xiangqi", "t1"): ("xq.table1", lambda key, header: (*key[1:], _camp_column(header))),
+    ("xiangqi", "t2"): ("xq.table2", lambda key, header: (*key, _camp_column(header))),
+    ("xiangqi", "t3"): ("xq.table3", lambda key, header: (_indexed(header), *key)),
+    ("xiangqi", "t4"): ("xq.table4", lambda key, header: (_indexed(header), *key)),
+    ("xiangqi", "t5"): ("xq.table5", lambda key, header: (_indexed(header), *key)),
+    ("xiangqi", "klist"): ("xq.klist", lambda key, header: key),
+    ("janggi", "t6"): ("jg.table6", lambda key, header: (*key, _indexed(header))),
+    ("janggi", "klist"): ("jg.klist", lambda key, header: key),
+}
+
+
+def test_every_printed_cell_matches_its_oracle(capsys):
+    """Each cell ``table`` prints from a ``TABLES`` record, also those the paper
+    does not print, equals its family's oracle at the matching key; and every
+    printed value of those families is such a cell, so verify's rows are a
+    subset of what ``table`` prints."""
     cells = 0
-    for table, (name, column_first) in GRID_FAMILIES.items():
+    laid_out = [(variant, table) for variant, module in PIPELINES.items()
+                for table in module.TABLES]
+    assert sorted(laid_out) == sorted(PRINTED_FAMILIES)
+    for variant, table in laid_out:
+        name, family_key = PRINTED_FAMILIES[variant, table]
         family = fixtures.FAMILIES[name]
-        prefix = GRIDS[table][3]
-        _, out = run_cli(capsys, "table", "--variant", family.scope, "--table", table)
+        width = len(PIPELINES[variant].TABLES[table][0])
+        _, out = run_cli(capsys, "table", "--variant", variant, "--table", table)
         header, *rows = (line.split(",") for line in out.splitlines())
-        columns = [int(cell.removeprefix(prefix)) for cell in header[1:]]
-        for row, *printed in rows:
-            for column, value in zip(columns, printed):
-                key = (column, int(row)) if column_first else (int(row), column)
-                assert int(value) == family.oracle(*key), (table, row, column)
+        printed = set()
+        for row in rows:
+            key = tuple(map(int, row[:width]))
+            for column, value in zip(header[width:], row[width:], strict=True):
+                cell = family_key(key, column)
+                printed.add(cell)
+                assert int(value) == family.oracle(*cell), (table, row, column)
                 cells += 1
-    assert cells == 186
+        assert family.values.keys() <= printed, table
+    assert cells == 276
+
+
+def test_every_variant_lists_its_laid_out_tables():
+    """The fast path, the argparse choices and the layouts name the same tables:
+    each variant's ``TABLES`` records in order, then ``slist`` and ``geometry``."""
+    for variant, module in PIPELINES.items():
+        assert TABLES_BY_VARIANT[variant] == (*module.TABLES, "slist", "geometry")
+    assert PIPELINES.keys() == TABLES_BY_VARIANT.keys()
+    assert sorted(TABLE_IDS) == sorted(set().union(*TABLES_BY_VARIANT.values()))
 
 
 def _option_argvs():

@@ -2,7 +2,7 @@
 import pytest
 
 from statecount import oracle, verify, xiangqi
-from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixture, fixtures_for_scope
+from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixtures_for_scope
 from statecount.verify import (
     MATCH,
     MISMATCH,
@@ -12,6 +12,13 @@ from statecount.verify import (
 )
 
 from frozen import JG_SLIST_DIVERGENT, XQ_KLIST_DIVERGENT
+
+
+def fixture(quantity_id):
+    """The fixture whose row is labelled ``quantity_id``."""
+    (found,) = [f for f in ALL_FIXTURES if f.quantity_id == quantity_id]
+    return found
+
 
 def verify_only(monkeypatch, scope, *fixtures):
     """``run_verify(scope)`` over exactly ``fixtures``, in order: the scope's
@@ -245,6 +252,7 @@ class TestScopesAndFormat:
         assert format_report(full_verify).splitlines()[-1].startswith("summary:")
 
 
-def test_fixture_rejects_unknown_id():
-    with pytest.raises(ValueError):
-        fixture("xq.table9.1,1")
+def test_fixture_ids_are_unique():
+    """A row's id names one fixture, so report rows are told apart by it."""
+    ids = [f.quantity_id for f in ALL_FIXTURES]
+    assert len(set(ids)) == len(ids) == 251
