@@ -11,7 +11,7 @@ import time
 from functools import partial
 from types import ModuleType
 
-from . import janggi, oracle, verify, xiangqi
+from . import fixtures, janggi, oracle, verify, xiangqi
 from .geometry import VARIANTS
 
 
@@ -71,9 +71,7 @@ def build_parser(cli: ModuleType) -> argparse.ArgumentParser:
     p_table.set_defaults(handler=partial(_defined_table, p_table, cli))
 
     p_verify = sub.add_parser("verify", help="recompute fixtures and report discrepancies")
-    p_verify.add_argument(
-        "--scope", default="all", choices=("all", "xiangqi", "janggi", "combinatorics")
-    )
+    p_verify.add_argument("--scope", default="all", choices=fixtures.SCOPES)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="run one oracle")

@@ -1,7 +1,7 @@
 """Published reference values audited by the verify command.
 
-Each published table or value list is one ``Family`` record, and each
-printed value one fixture of it.
+Each published table or value list is one ``Family`` record.  A verify row
+is a family and one key that it prints, so each printed value has one home.
 """
 from __future__ import annotations
 
@@ -143,6 +143,8 @@ JG_SLIST = [1, 8, 64, 504, 2028, 28560, 44520, 294000, 441840, 6773760,
 JG_TOTAL = 235103954659801304018684123148785542989018468
 
 
+# the verify scopes, in the order a usage error lists them; "all" takes every family
+SCOPES = ("all", "xiangqi", "janggi", "combinatorics")
 # id suffixes of the columns of tables 1 and 2, in ``CampClassRow`` field order
 CAMP_COLUMNS = ("total", "two5", "one5", "no5")
 # largest m**n a verify run enumerates for one pair-fill oracle call
@@ -167,19 +169,13 @@ class Family(NamedTuple):
     oracle: Callable[..., int]
 
 
-class ReferenceFixture(NamedTuple):
-    family: Family
-    key: tuple
-    paper_value: int
-
-    @property
-    def quantity_id(self) -> str:
-        """The family name, the key's integer indices joined by commas, and a
-        camp-table column, each after a dot: ``xq.table1.2,1.total``,
-        ``xq.table2.5.no5``, ``jg.table6.3,4``, ``xq.klist.70``, ``xq.total``."""
-        indices = ",".join([str(part) for part in self.key if isinstance(part, int)])
-        columns = [part for part in self.key if isinstance(part, str)]
-        return ".".join(filter(None, (self.family.name, indices, *columns)))
+def quantity_id(family: Family, key: tuple) -> str:
+    """A row's label: the family name, the key's integer indices joined by commas,
+    and a camp-table column, each after a dot: ``xq.table1.2,1.total``,
+    ``xq.table2.5.no5``, ``jg.table6.3,4``, ``xq.klist.70``, ``xq.total``."""
+    indices = ",".join([str(part) for part in key if isinstance(part, int)])
+    columns = [part for part in key if isinstance(part, str)]
+    return ".".join(filter(None, (family.name, indices, *columns)))
 
 
 def _keyed(printed) -> dict[tuple, int]:
@@ -249,19 +245,15 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda: oracle.scan_total("janggi")),
 )}
 
-ALL_FIXTURES: tuple[ReferenceFixture, ...] = tuple(
-    ReferenceFixture(fam, key, value)
-    for fam in FAMILIES.values() for key, value in fam.values.items()
-)
 
-def fixtures_for_scope(scope: str) -> list[ReferenceFixture]:
-    """Fixture subsets for the verify scopes.
+def fixtures_for_scope(scope: str) -> list[tuple[Family, tuple]]:
+    """The verify rows of a scope: (family, key) for each key its families print.
 
-    Pair-fill lists belong to the combinatorics scope; the per-variant
-    scopes own their tables, light-stage lists, and grand totals.
+    The rows keep ``FAMILIES`` order, which the report prints.  Pair-fill
+    lists belong to the combinatorics scope; the per-variant scopes own their
+    tables, light-stage lists, and grand totals.
     """
-    if scope == "all":
-        return list(ALL_FIXTURES)
-    if scope not in {fam.scope for fam in FAMILIES.values()}:
+    if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
-    return [f for f in ALL_FIXTURES if f.family.scope == scope]
+    return [(fam, key) for fam in FAMILIES.values() if scope in ("all", fam.scope)
+            for key in fam.values]

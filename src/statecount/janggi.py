@@ -86,11 +86,16 @@ def jg_positions(n: int) -> int:
     return sum(value for *_, value in convolution_terms(n))
 
 
+def heavy_site_choices(n: int, y: int) -> int:
+    """The sites of y heavy pieces among the 90 - n blanks of n light pieces."""
+    return binom(BOARD_SITES - n, y)
+
+
 def grand_total_terms() -> Iterator[tuple[int, int, int]]:
     """``heavy_stage`` triples (n, y, term): y heavy pieces on the 90 - n blanks."""
     fills = [pair_fill_count(HEAVY_PAIRS, y) for y in range(2 * HEAVY_PAIRS + 1)]
     return heavy_stage(((n, jg_positions(n)) for n in PIECES_RANGE),
-                       lambda n, y: binom(BOARD_SITES - n, y), fills)
+                       heavy_site_choices, fills)
 
 
 def jg_grand_total() -> int:

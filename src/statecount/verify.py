@@ -1,8 +1,8 @@
 """Discrepancy adjudication: recomputation vs. published reference values.
 
-Every fixture quantity is recomputed from geometry and the closed-form
-pipeline, and counted again by its family's oracle, which never calls the
-closed forms.  Verdicts:
+A row is a ``Family`` and one key that it prints.  Its value is recomputed
+from geometry and the closed-form pipeline, and counted again by the
+family's oracle, which never calls the closed forms.  Verdicts:
 
 * ``mismatch`` — the oracle disagrees with the recomputation; this indicts
   the build, not the source, and fails the run.
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import janggi, xiangqi
 from .combinatorics import binom, heavy_stage
-from .fixtures import FAMILIES, ReferenceFixture, fixtures_for_scope
+from .fixtures import FAMILIES, Family, fixtures_for_scope, quantity_id
 from .geometry import GeometryCheck, validate_geometry
 
 MATCH = "match"
@@ -55,34 +55,35 @@ class VerifyResult(NamedTuple):
         return out
 
 
-def compute_quantity(fx: ReferenceFixture) -> int:
-    """Recompute a fixture's value through its family's closed form."""
-    return fx.family.compute(*fx.key)
+def compute_quantity(family: Family, key: tuple) -> int:
+    """Recompute a row's value through its family's closed form."""
+    return family.compute(*key)
 
 
-def oracle_quantity(fx: ReferenceFixture) -> int:
-    """Count a fixture's value with its family's oracle."""
-    return fx.family.oracle(*fx.key)
+def oracle_quantity(family: Family, key: tuple) -> int:
+    """Count a row's value with its family's oracle."""
+    return family.oracle(*key)
 
 
 # grand total: (variant module, K family, T family, heavy-site choice at index i)
 _TOTALS = {
     "xq.total": (xiangqi, "xq.klist", "xq.dlist", binom),
-    "jg.total": (janggi, "jg.klist", "jg.slist", lambda n, y: binom(janggi.BOARD_SITES - n, y)),
+    "jg.total": (janggi, "jg.klist", "jg.slist", janggi.heavy_site_choices),
 }
 
 
-def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[str, str]:
+def _verdict(family: Family, key: tuple, computed: int, oracle_value: int) -> tuple[str, str]:
     if oracle_value != computed:
         return MISMATCH, "closed form disagrees with its oracle (build defect)"
-    if computed == fx.paper_value:
+    printed = family.values[key]
+    if computed == printed:
         return MATCH, ""
-    if fx.family.name not in _TOTALS:
+    if family.name not in _TOTALS:
         return TYPO, "the oracle confirms the recomputed value"
-    _, klist, tlist, choose = _TOTALS[fx.family.name]
+    _, klist, tlist, choose = _TOTALS[family.name]
     light = [(i, k) for (i,), k in FAMILIES[klist].values.items()]
     fills = list(FAMILIES[tlist].values.values())
-    if fx.paper_value == sum(term for *_, term in heavy_stage(light, choose, fills)):
+    if printed == sum(term for *_, term in heavy_stage(light, choose, fills)):
         return TYPO, ("printed total equals the printed light-stage list folded "
                       "through the heavy stage, so it inherits that list's "
                       "confirmed errors; recomputation uses the corrected list")
@@ -91,13 +92,13 @@ def _verdict(fx: ReferenceFixture, computed: int, oracle_value: int) -> tuple[st
 
 
 def run_verify(scope: str = "all") -> VerifyResult:
-    """Recompute every fixture in scope, oracle-check it, and adjudicate.
+    """Recompute every row in scope, oracle-check it, and adjudicate.
 
-    The fixtures come from ``fixtures_for_scope``, so each key is one its
-    family prints, and an unknown scope is refused there (``ValueError``)
-    before any count.
+    The (family, key) rows come from ``fixtures_for_scope``, which refuses an
+    unknown scope (``ValueError``) before any count; a key its family does
+    not print raises ``KeyError`` before its row is counted.
     """
-    fixtures = fixtures_for_scope(scope)
+    in_scope = fixtures_for_scope(scope)
     geometry_checks: list[GeometryCheck] = []
     if scope in ("all", "xiangqi"):
         geometry_checks += validate_geometry("xiangqi")
@@ -106,15 +107,15 @@ def run_verify(scope: str = "all") -> VerifyResult:
 
     rows: list[ReportRow] = []
     breakdowns: dict[str, list[tuple[int, int, int]]] = {}
-    for fx in fixtures:
-        computed = compute_quantity(fx)
-        oracle_value = oracle_quantity(fx)
-        verdict, note = _verdict(fx, computed, oracle_value)
-        rows.append(ReportRow(
-            fx.quantity_id, fx.paper_value, computed, oracle_value, verdict, note,
-        ))
-        if verdict != MATCH and fx.family.name in _TOTALS:
-            breakdowns[fx.quantity_id] = list(_TOTALS[fx.family.name][0].grand_total_terms())
+    for family, key in in_scope:
+        printed = family.values[key]
+        computed = compute_quantity(family, key)
+        oracle_value = oracle_quantity(family, key)
+        verdict, note = _verdict(family, key, computed, oracle_value)
+        row_id = quantity_id(family, key)
+        rows.append(ReportRow(row_id, printed, computed, oracle_value, verdict, note))
+        if verdict != MATCH and family.name in _TOTALS:
+            breakdowns[row_id] = list(_TOTALS[family.name][0].grand_total_terms())
     return VerifyResult(geometry_checks, rows, breakdowns)
 
 

@@ -2,7 +2,7 @@
 import pytest
 
 from statecount import oracle, verify, xiangqi
-from statecount.fixtures import ALL_FIXTURES, FAMILIES, fixtures_for_scope
+from statecount.fixtures import FAMILIES, SCOPES, fixtures_for_scope, quantity_id
 from statecount.verify import (
     MATCH,
     MISMATCH,
@@ -14,16 +14,19 @@ from statecount.verify import (
 from frozen import JG_SLIST_DIVERGENT, XQ_KLIST_DIVERGENT
 
 
-def fixture(quantity_id):
-    """The fixture whose row is labelled ``quantity_id``."""
-    (found,) = [f for f in ALL_FIXTURES if f.quantity_id == quantity_id]
-    return found
+def fixture(row_id, printed=None):
+    """The (family, key) row labelled ``row_id``; with ``printed``, its family
+    is a copy that prints that value at the key instead."""
+    ((family, key),) = [row for row in fixtures_for_scope("all") if quantity_id(*row) == row_id]
+    if printed is not None:
+        family = family._replace(values={**family.values, key: printed})
+    return family, key
 
 
-def verify_only(monkeypatch, scope, *fixtures):
-    """``run_verify(scope)`` over exactly ``fixtures``, in order: the scope's
-    fixture source is rebound, as a layer is substituted anywhere else."""
-    monkeypatch.setattr(verify, "fixtures_for_scope", lambda _: list(fixtures))
+def verify_only(monkeypatch, scope, *rows):
+    """``run_verify(scope)`` over exactly ``rows``, in order: the scope's
+    row source is rebound, as a layer is substituted anywhere else."""
+    monkeypatch.setattr(verify, "fixtures_for_scope", lambda _: list(rows))
     return run_verify(scope)
 
 
@@ -57,7 +60,8 @@ class TestFullRun:
 
     def test_every_fixture_appears_once(self, full_verify):
         ids = [r.quantity_id for r in full_verify.rows]
-        assert sorted(ids) == sorted(f.quantity_id for f in ALL_FIXTURES)
+        assert sorted(ids) == sorted(quantity_id(fam, key) for fam in FAMILIES.values()
+                                     for key in fam.values)
 
 
 class TestDisputedEntries:
@@ -96,14 +100,14 @@ class TestDisputedEntries:
         assert "inherit" in self._row(full_verify, "xq.total").note
         assert "reconstruction" in self._row(full_verify, "jg.total").note
 
-    @pytest.mark.parametrize("quantity_id", ["xq.total", "jg.total"])
+    @pytest.mark.parametrize("row_id", ["xq.total", "jg.total"])
     def test_total_note_does_not_depend_on_the_fixtures_run(self, full_verify,
-                                                             quantity_id, monkeypatch):
-        fx = fixture(quantity_id)
-        result = verify_only(monkeypatch, fx.family.scope, fx)
+                                                             row_id, monkeypatch):
+        family, key = fixture(row_id)
+        result = verify_only(monkeypatch, family.scope, (family, key))
         (row,) = result.rows
-        assert row == self._row(full_verify, quantity_id)
-        assert result.breakdowns == {quantity_id: full_verify.breakdowns[quantity_id]}
+        assert row == self._row(full_verify, row_id)
+        assert result.breakdowns == {row_id: full_verify.breakdowns[row_id]}
 
 
 # sum K(n) * C(90 - n, y) * S(y) over the printed Janggi lists (46 digits,
@@ -116,7 +120,7 @@ class TestTotalNotes:
     family name: each proof below flips a note by changing printed data."""
 
     def test_a_total_equal_to_its_printed_fold_inherits(self, monkeypatch):
-        printed_fold = fixture("jg.total")._replace(paper_value=JG_PRINTED_FOLD)
+        printed_fold = fixture("jg.total", printed=JG_PRINTED_FOLD)
         (row,) = verify_only(monkeypatch, "janggi", printed_fold).rows
         assert row.verdict == TYPO
         assert "inherits that list's confirmed errors" in row.note
@@ -162,7 +166,7 @@ class TestNegativeControls:
 
     def test_corrupted_oracle_backed_fixture_is_confirmed_against_print(self, monkeypatch):
         # with a live oracle the engine sides with the enumeration
-        corrupted = fixture("xq.table3.10,2")._replace(paper_value=99)
+        corrupted = fixture("xq.table3.10,2", printed=99)
         result = verify_only(monkeypatch, "xiangqi", corrupted)
         (row,) = result.rows
         assert row.verdict == TYPO
@@ -180,26 +184,36 @@ class TestNegativeControls:
 @pytest.mark.parametrize("name", FAMILIES)
 def test_every_family_can_fail(name, side, monkeypatch):
     """One off-by-one on either side of a family's first row, carried by the
-    fixture that the scope yields, fails exactly that row (the first
+    family that the scope yields, fails exactly that row (the first
     pair-fill row is n = 0, the cheapest)."""
     family = FAMILIES[name]
-    target = next(f for f in ALL_FIXTURES if f.family is family)
-    other = next(f for f in ALL_FIXTURES if f.family is not family)
+    key = next(iter(family.values))
+    other = next(row for row in fixtures_for_scope("all") if row[0] is not family)
     field = side.removesuffix("_quantity")
     real = getattr(family, field)
-    broken = target._replace(family=family._replace(
-        **{field: lambda *key: real(*key) + 1}))
-    result = verify_only(monkeypatch, family.scope, broken, other)
+    broken = family._replace(**{field: lambda *key: real(*key) + 1})
+    result = verify_only(monkeypatch, family.scope, (broken, key), other)
     assert [row.verdict == MISMATCH for row in result.rows] == [True, False]
-    assert f"[mismatch] {target.quantity_id} " in format_report(result)
+    assert f"[mismatch] {quantity_id(family, key)} " in format_report(result)
     assert result.exit_code == 1
 
 
 def test_rekeyed_fixture_is_judged_by_its_own_key(monkeypatch):
-    rekeyed = fixture("jg.palace.0")._replace(key=(2,))
-    (row,) = verify_only(monkeypatch, "janggi", rekeyed).rows
+    family, _ = fixture("jg.palace.0")
+    (row,) = verify_only(monkeypatch, "janggi", (family, (2,))).rows
     assert row.quantity_id == "jg.palace.2"
     assert row.computed_value == row.oracle_value == 252
+
+
+@pytest.mark.parametrize("key", [(3,), (-1,)])
+def test_unprinted_key_is_refused_before_any_count(key, monkeypatch):
+    """A row holds no value of its own, so a key its family does not print
+    has nothing to be judged against: it raises before either side runs."""
+    def never(*_):
+        raise AssertionError("counted an unprinted key")
+    family = FAMILIES["jg.palace"]._replace(compute=never, oracle=never)
+    with pytest.raises(KeyError):
+        verify_only(monkeypatch, "janggi", (family, key))
 
 
 def test_unknown_scope_is_refused_before_any_count(monkeypatch):
@@ -214,9 +228,9 @@ def test_unknown_scope_is_refused_before_any_count(monkeypatch):
 
 class TestScopesAndFormat:
     def test_scope_partition(self):
-        all_ids = {f.quantity_id for f in fixtures_for_scope("all")}
+        all_ids = {quantity_id(*row) for row in fixtures_for_scope("all")}
         parts = [
-            {f.quantity_id for f in fixtures_for_scope(s)}
+            {quantity_id(*row) for row in fixtures_for_scope(s)}
             for s in ("xiangqi", "janggi", "combinatorics")
         ]
         union = set().union(*parts)
@@ -226,6 +240,13 @@ class TestScopesAndFormat:
     def test_unknown_scope(self):
         with pytest.raises(ValueError):
             fixtures_for_scope("everything")
+
+    def test_scopes_are_the_family_scopes(self):
+        """``SCOPES``, which the CLI offers, is "all" followed by exactly the
+        scopes that own a family."""
+        assert SCOPES[0] == "all"
+        assert set(SCOPES[1:]) == {fam.scope for fam in FAMILIES.values()}
+        assert len(set(SCOPES)) == len(SCOPES)
 
     def test_combinatorics_scope_runs_standalone(self, monkeypatch):
         monkeypatch.setattr(oracle, "enum_pair_fill", oracle.count_pair_fill)
@@ -253,6 +274,6 @@ class TestScopesAndFormat:
 
 
 def test_fixture_ids_are_unique():
-    """A row's id names one fixture, so report rows are told apart by it."""
-    ids = [f.quantity_id for f in ALL_FIXTURES]
+    """A row's id names one (family, key) row, so report rows are told apart by it."""
+    ids = [quantity_id(*row) for row in fixtures_for_scope("all")]
     assert len(set(ids)) == len(ids) == 251
