@@ -10,10 +10,10 @@ module but ``geometry`` is deferred: importing this one registers it in
 ``sys.modules``, where callers such as the benchmark tracer look it up, but
 runs its body only on first attribute use.  Imports inside the handlers
 would leave them unregistered.  ``xiangqi`` and ``janggi`` hold one variant's
-closed forms each, with ``combinatorics`` under both, and the layout of each
-table printed from them in their ``TABLES``; ``oracle``, ``fixtures`` and
-``verify`` serve ``verify``, ``oracle`` and the ``slist`` table; ``commands``
-is the argparse parser.
+closed forms each, with ``combinatorics`` under both, and in their ``TABLES``
+the layout of each table a variant prints but the ``SHARED_TABLES``;
+``oracle``, ``fixtures`` and ``verify`` serve ``verify``, ``oracle`` and the
+``slist`` table; ``commands`` is the argparse parser.
 
 ``count`` and ``table`` argvs in their canonical form (``_fast_args``) are
 parsed without argparse, whose import and parser construction would cost each
@@ -55,13 +55,10 @@ oracle, fixtures, verify, commands, xiangqi, janggi, combinatorics = map(_deferr
 from .geometry import VARIANTS, zone, zone_names  # noqa: E402
 
 TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "klist", "slist", "geometry")
-TABLES_BY_VARIANT = {
-    "xiangqi": ("t1", "t2", "t3", "t4", "t5", "klist", "slist", "geometry"),
-    "janggi": ("t6", "klist", "slist", "geometry"),
-}
-# each variant's closed-form module, whose TABLES lay out every table but slist
-# and geometry; a process runs only its own variant's module
+# each variant's closed-form module, whose TABLES lay out every table it prints
+# but the SHARED_TABLES; a process runs only its own variant's module
 PIPELINES = {"xiangqi": xiangqi, "janggi": janggi}
+SHARED_TABLES = ("slist", "geometry")
 # the pair-fill family each variant's slist prints beside its closed form
 SLISTS = {"xiangqi": "xq.dlist", "janggi": "jg.slist"}
 # the options of count and table, in the order argparse lists them: name ->
@@ -91,7 +88,8 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
         setattr(args, option[2:], value)
     if args.command == "count":
         args.handler = _cmd_count
-    elif args.table in TABLES_BY_VARIANT[args.variant]:
+    # the shared ids first, so that a geometry table runs no closed-form module
+    elif args.table in SHARED_TABLES or args.table in PIPELINES[args.variant].TABLES:
         args.handler = _cmd_table
     else:
         return None

@@ -54,10 +54,11 @@ def _add_command(sub: argparse._SubParsersAction, command: str, options: dict,
 
 def build_parser(cli: ModuleType) -> argparse.ArgumentParser:
     """The parser of every subcommand.  ``cli`` is the fast-path module: the
-    ``count`` and ``table`` subparsers take its ``OPTIONS``,
-    ``TABLES_BY_VARIANT`` and handlers.  It is passed in, not imported,
-    because under ``python -m statecount.cli`` it runs as ``__main__``, and an
-    import would run a second copy of it."""
+    ``count`` and ``table`` subparsers take its ``OPTIONS`` and handlers, and
+    a variant's tables as its ``PIPELINES`` module's ``TABLES`` and the
+    ``SHARED_TABLES``.  It is passed in, not imported, because under ``python
+    -m statecount.cli`` it runs as ``__main__``, and an import would run a
+    second copy of it."""
     parser = argparse.ArgumentParser(
         prog="statecount",
         description="Exact state-space counts for Xiangqi and Janggi, "
@@ -83,7 +84,7 @@ def build_parser(cli: ModuleType) -> argparse.ArgumentParser:
 
 def _defined_table(parser: argparse.ArgumentParser, cli: ModuleType,
                    args: argparse.Namespace) -> tuple[str, int]:
-    tables = cli.TABLES_BY_VARIANT[args.variant]
+    tables = (*cli.PIPELINES[args.variant].TABLES, *cli.SHARED_TABLES)
     if args.table not in tables:
         parser.error(
             f"table {args.table!r} is not defined for {args.variant}; "

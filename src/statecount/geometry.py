@@ -82,16 +82,12 @@ def zone(variant: str, player: str, name: str) -> frozenset[Site]:
     Raises ValueError for an unknown variant, player, or zone name; such a
     call is a caller bug, not data.
     """
-    if variant not in _ZONES:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    names = zone_names(variant)
     if player not in PLAYERS:
         raise ValueError(f"unknown player {player!r}; expected one of {PLAYERS}")
-    try:
-        relative = _ZONES[variant][name]
-    except KeyError:
-        raise ValueError(
-            f"unknown zone {name!r} for {variant}; expected one of {zone_names(variant)}"
-        ) from None
+    if name not in names:
+        raise ValueError(f"unknown zone {name!r} for {variant}; expected one of {names}")
+    relative = _ZONES[variant][name]
     if player == "A":
         return relative
     return frozenset(mirror(s) for s in relative)

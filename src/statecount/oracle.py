@@ -267,7 +267,7 @@ def _scan(sites, kinds) -> Counter:
     file, so the counts do not depend on the order of a file's sites.
     """
     width = len(kinds)
-    states = Counter({(0,) * 2 * width: 1})
+    states = Counter({(0,) * width: 1})
     for file in FILES:
         states = _tally((state[:width] + (0,) * width, ways)
                         for state, ways in states.items())

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import janggi, xiangqi
 from .combinatorics import binom, heavy_stage
 from .fixtures import FAMILIES, Family, fixtures_for_scope, quantity_id
-from .geometry import GeometryCheck, validate_geometry
+from .geometry import VARIANTS, GeometryCheck, validate_geometry
 
 MATCH = "match"
 TYPO = "paper-typo-confirmed"
@@ -65,10 +65,12 @@ def oracle_quantity(family: Family, key: tuple) -> int:
     return family.oracle(*key)
 
 
-# grand total: (variant module, K family, T family, heavy-site choice at index i)
+# grand total: (variant module, K family, T family, heavy-site choice at index
+# i); each rule is looked up at call time, so that a rebinding reaches the folds
 _TOTALS = {
-    "xq.total": (xiangqi, "xq.klist", "xq.dlist", binom),
-    "jg.total": (janggi, "jg.klist", "jg.slist", janggi.heavy_site_choices),
+    "xq.total": (xiangqi, "xq.klist", "xq.dlist", lambda x, y: binom(x, y)),
+    "jg.total": (janggi, "jg.klist", "jg.slist",
+                 lambda n, y: janggi.heavy_site_choices(n, y)),
 }
 
 
@@ -99,11 +101,8 @@ def run_verify(scope: str = "all") -> VerifyResult:
     not print raises ``KeyError`` before its row is counted.
     """
     in_scope = fixtures_for_scope(scope)
-    geometry_checks: list[GeometryCheck] = []
-    if scope in ("all", "xiangqi"):
-        geometry_checks += validate_geometry("xiangqi")
-    if scope in ("all", "janggi"):
-        geometry_checks += validate_geometry("janggi")
+    geometry_checks = [check for variant in VARIANTS if scope in ("all", variant)
+                       for check in validate_geometry(variant)]
 
     rows: list[ReportRow] = []
     breakdowns: dict[str, list[tuple[int, int, int]]] = {}

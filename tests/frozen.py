@@ -1,11 +1,13 @@
 """Frozen expected values shared across the test suite.
 
-Two kinds of constants live here:
+No published value lives here: a test reads a printed value from
+``statecount.fixtures``, for example ``fixtures.XQ_KLIST``.  Two kinds of
+constants do:
 
-* published reference values, copied from the source's tables and lists
-  (also embedded in ``statecount.fixtures``);
 * recomputed values frozen after verification against the enumeration
-  oracles, where the published print disagrees with its own construction.
+  oracles, where the published print disagrees with its own construction,
+  and the keys at which the print differs;
+* full-board enumeration counts for small piece counts.
 """
 
 # Recomputed light-stage counts by blank sites (oracle-confirmed at 86..88;

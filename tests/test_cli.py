@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from statecount import cli, fixtures, janggi, oracle, verify, xiangqi
-from statecount.cli import OPTIONS, PIPELINES, TABLE_IDS, TABLES_BY_VARIANT, _fast_args, main
+from statecount.cli import (OPTIONS, PIPELINES, SHARED_TABLES, TABLE_IDS, VARIANTS, _fast_args,
+                            main)
 from statecount.commands import ORACLES, build_parser
 from statecount.janggi import jg_home_count
 from statecount.xiangqi import xq_grand_total
@@ -196,13 +197,18 @@ def test_every_printed_cell_matches_its_oracle(capsys):
     assert cells == 276
 
 
+def _variant_tables(variant):
+    """The tables a variant prints: its ``TABLES`` records in order, then the
+    shared ones."""
+    return (*PIPELINES[variant].TABLES, *SHARED_TABLES)
+
+
 def test_every_variant_lists_its_laid_out_tables():
-    """The fast path, the argparse choices and the layouts name the same tables:
-    each variant's ``TABLES`` records in order, then ``slist`` and ``geometry``."""
-    for variant, module in PIPELINES.items():
-        assert TABLES_BY_VARIANT[variant] == (*module.TABLES, "slist", "geometry")
-    assert PIPELINES.keys() == TABLES_BY_VARIANT.keys()
-    assert sorted(TABLE_IDS) == sorted(set().union(*TABLES_BY_VARIANT.values()))
+    """The argparse choices name every table a variant prints: its ``TABLES``
+    records, and ``slist`` and ``geometry``, which every variant prints."""
+    assert SHARED_TABLES == ("slist", "geometry")
+    assert tuple(PIPELINES) == VARIANTS
+    assert sorted(TABLE_IDS) == sorted(set().union(*map(_variant_tables, PIPELINES)))
 
 
 def _option_argvs():
@@ -248,7 +254,7 @@ def test_fast_path_parses_as_argparse_does():
         given = dict(zip(argv[1::2], argv[2::2]))
         required = {name for name in OPTIONS[argv[0]] if name != "--format"}
         if required <= given.keys() and (
-                argv[0] == "count" or given["--table"] in TABLES_BY_VARIANT[given["--variant"]]):
+                argv[0] == "count" or given["--table"] in _variant_tables(given["--variant"])):
             canonical.append(argv)
         else:
             other.append(argv)
@@ -424,9 +430,11 @@ def test_import_loads_every_module_without_record_machinery():
     is deferred and registered ahead of it, so the tracer's walk over
     ``sys.modules`` runs each deferred body before it patches anything.  The
     import loads neither ``dataclasses`` nor ``inspect``, nor ``argparse`` with
-    the ``gettext`` and ``locale`` it loads.  ``count`` and every table of one
-    variant but ``slist`` then run that variant's closed forms alone, never the
-    other variant's, ``oracle``, ``fixtures`` or ``verify``.  ``slist`` adds
+    the ``gettext`` and ``locale`` it loads.  A ``geometry`` table runs no
+    further module, because the fast path tests the shared tables before a
+    variant's ``TABLES``.  ``count`` and every table of one variant but
+    ``slist`` then run that variant's closed forms alone, never the other
+    variant's, ``oracle``, ``fixtures`` or ``verify``.  ``slist`` adds
     ``fixtures`` alone; no ``count`` or ``table`` call, ``slist`` included,
     runs ``commands`` or loads ``argparse``: each of these would cost every
     such process start-up."""
@@ -440,10 +448,12 @@ def test_import_loads_every_module_without_record_machinery():
                           and type(sys.modules[name]) is types.ModuleType)
         record = {"loaded": loaded, "imported": ran()}
         variant = sys.argv[1]
+        cli.main(["table", "--variant", variant, "--table", "geometry"])
+        record["geometry"] = ran()
         for slist in (False, True):
             for fmt in cli.OPTIONS["count"]["--format"] * (not slist):
                 cli.main(["count", "--variant", variant, "--format", fmt])
-            for table in cli.TABLES_BY_VARIANT[variant]:
+            for table in (*cli.PIPELINES[variant].TABLES, *cli.SHARED_TABLES):
                 for fmt in cli.OPTIONS["table"]["--format"] * ((table == "slist") == slist):
                     cli.main(["table", "--variant", variant, "--table", table,
                               "--format", fmt])
@@ -453,13 +463,14 @@ def test_import_loads_every_module_without_record_machinery():
     modules = {f"statecount.{path.stem}" for path in (REPO / "src/statecount").glob("*.py")
                if path.stem != "__init__"}
     assert len(modules) == 9
-    for variant in TABLES_BY_VARIANT:
+    for variant in PIPELINES:
         proc = _python("-c", script, variant)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
         record = json.loads(out.splitlines()[-1])
         assert modules <= set(record["loaded"])
-        assert record["imported"] == ["statecount.cli", "statecount.geometry"]
+        assert record["imported"] == record["geometry"] == ["statecount.cli",
+                                                            "statecount.geometry"]
         order = [name for name in record["loaded"] if name in modules]
         assert set(order[:order.index("statecount.geometry")]) == modules - set(
             record["imported"])

@@ -1,7 +1,9 @@
 """The discrepancy engine: verdicts, evidence, exit codes."""
+from collections import Counter
+
 import pytest
 
-from statecount import oracle, verify, xiangqi
+from statecount import janggi, oracle, verify, xiangqi
 from statecount.fixtures import FAMILIES, SCOPES, fixtures_for_scope, quantity_id
 from statecount.verify import (
     MATCH,
@@ -132,6 +134,25 @@ class TestTotalNotes:
         assert row.verdict == TYPO
         assert row.note == ("printed total matches no reconstruction from the "
                             "source's own printed components")
+
+    def test_each_fold_calls_its_rule_as_rebound(self, monkeypatch):
+        """A total's fold looks its heavy-site rule up at call time, so that a
+        rebinding, such as the bench tracer's counting wrapper, reaches it: one
+        call per printed light-stage and pair-fill entry, 19 * 13 and 15 * 17."""
+        calls = Counter()
+        for module, rule in ((verify, "binom"), (janggi, "heavy_site_choices")):
+            def counted(*args, rule=rule, original=getattr(module, rule)):
+                calls[rule] += 1
+                return original(*args)
+            monkeypatch.setattr(module, rule, counted)
+        for row_id, expected in (("xq.total", {"binom": 247}),
+                                 ("jg.total", {"heavy_site_choices": 255})):
+            calls.clear()
+            family, key = fixture(row_id)
+            # computed and oracle agree and differ from print: the fold decides
+            computed = family.values[key] + 1
+            assert verify._verdict(family, key, computed, computed)[0] == TYPO
+            assert calls == expected, row_id
 
 
 class TestBreakdowns:
