@@ -25,7 +25,7 @@ _PAIR_FILL_DOMAINS = (range(janggi.HEAVY_PAIRS + 1), range(2 * janggi.HEAVY_PAIR
 # result prints); a domain is a range or a tuple of names, and the ranges index
 # the published tables checked
 ORACLES = {
-    "enum_camp_xq": ((range(3), range(3)), lambda row: " ".join(
+    "enum_camp_xq": ((xiangqi.ADVISORS, xiangqi.ELEPHANTS), lambda row: " ".join(
         f"{h}={v}" for h, v in zip(xiangqi.CampClassRow._fields, row))),
     "enum_soldiers_xq": ((range(3), xiangqi.SOLDIERS), str),
     "enum_side_exact_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),

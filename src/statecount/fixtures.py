@@ -209,7 +209,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda pieces, column: _camp_column(xiangqi.camp_by_piece_count(pieces), column),
            lambda pieces, column: sum(
                _camp_column(oracle.enum_camp_xq(a, e), column)
-               for a in range(3) for e in range(3) if a + e + 1 == pieces)),
+               for a in xiangqi.ADVISORS for e in xiangqi.ELEPHANTS if a + e + 1 == pieces)),
     Family("xq.table3", "xiangqi", TABLE3,
            lambda blank, s: xiangqi.soldier_own_side(blank, s),
            lambda blank, s: oracle.enum_soldiers_xq(10 - blank, s)),

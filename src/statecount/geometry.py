@@ -70,6 +70,28 @@ _ZONES: dict[str, dict[str, frozenset[Site]]] = {
 }
 
 
+class Kind(NamedTuple):
+    """A light piece kind of one player."""
+    zone: str  # the name of the zone it stands on
+    cap: int  # at most this many of it
+    one_per_file: bool  # at most one of it on any file
+
+
+# Each player's light pieces by kind, the king first.  A soldier's zone is its
+# own side's; Xiangqi's also cross the river, Janggi's the opposing home zone.
+ROSTER: dict[str, dict[str, Kind]] = {
+    "xiangqi": {"king": Kind("palace", 1, False),
+                "advisor": Kind("advisor_sites", 2, False),
+                "elephant": Kind("elephant_sites", 2, False),
+                "soldier": Kind("soldier_own_side_sites", 5, True)},
+    "janggi": {"king": Kind("palace", 1, False),
+               "advisor": Kind("advisor_sites", 2, False),
+               "soldier": Kind("middle_ranks", 5, False)},
+}
+# both players' heavy pieces on any blank sites, as pairs of identical pieces
+HEAVY_PAIRS = {"xiangqi": 6, "janggi": 8}
+
+
 def zone_names(variant: str) -> tuple[str, ...]:
     if variant not in _ZONES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

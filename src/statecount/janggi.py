@@ -20,16 +20,16 @@ from functools import lru_cache
 from typing import Iterator
 
 from .combinatorics import binom, heavy_stage, light_stage, pair_fill_count
-from .geometry import board_sites, zone
+from .geometry import HEAVY_PAIRS as _HEAVY_PAIRS, ROSTER, board_sites, zone
 
 PALACE = zone("janggi", "A", "palace")
 HOME_ZONE = zone("janggi", "A", "home_zone")
 MIDDLE_RANKS = zone("janggi", "A", "middle_ranks")
 
 BOARD_SITES = len(board_sites())  # 90
-MAX_SOLDIERS = 5
-MAX_PALACE_PIECES = 3  # king + up to two advisors
-HEAVY_PAIRS = 8  # two chariots, horses, elephants, cannons per player
+MAX_SOLDIERS = ROSTER["janggi"]["soldier"].cap
+MAX_PALACE_PIECES = ROSTER["janggi"]["king"].cap + ROSTER["janggi"]["advisor"].cap  # 3
+HEAVY_PAIRS = _HEAVY_PAIRS["janggi"]
 MAX_HOME_PIECES = MAX_PALACE_PIECES + MAX_SOLDIERS  # 8
 # index ranges of the home-zone grid: pieces in one home zone, opposing
 # soldiers held in reserve
@@ -53,7 +53,7 @@ def jg_home_count(n: int, k: int) -> int:
     Summing over i = own king + advisors in the palace (1..3): palace
     arrangements times opposing-soldier subsets of the remaining home-zone
     sites.  A term contributes only if the n - i soldiers it places leave at
-    least k of the opponent's five soldiers unused.
+    least k of the opponent's ``MAX_SOLDIERS`` unused.
     """
     total = 0
     for palace_pieces in range(1, MAX_PALACE_PIECES + 1):

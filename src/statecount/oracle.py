@@ -16,12 +16,13 @@ site-scan tier visits the board site by site: the grid oracles
 of a half or a home zone, ``scan_positions``/``scan_total`` join one half
 scan with itself, and ``count_pair_fill`` is a recurrence on pairs.  The
 brute-force tier calls nothing of the scan tier, so the two check each
-other.  Oracles import only the geometry, never the closed forms or their
-records, so ``import statecount.oracle`` runs ``geometry`` alone; agreement
-between oracles and closed forms is the package's core correctness
-argument.  Parameter domains live in ``commands.ORACLES``, which takes the
-grid ranges from the closed-form modules; the functions keep only their
-tractability bounds (``OracleBoundError``).
+other.  Oracles import only the geometry, its zones and its piece roster
+(read at call time), never the closed forms or their records, so ``import
+statecount.oracle`` runs ``geometry`` alone; agreement between oracles and
+closed forms is the package's core correctness argument.  Parameter domains
+live in ``commands.ORACLES``, which takes the grid ranges from the
+closed-form modules; the functions keep only their tractability bounds
+(``OracleBoundError``).
 """
 from __future__ import annotations
 
@@ -30,13 +31,12 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
-from .geometry import FILES, board_sites, zone
+from .geometry import FILES, HEAVY_PAIRS, ROSTER, board_sites, zone
 
 _XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
     "xiangqi", "A", "soldier_own_side_sites"
 )
-_JG_PALACE = sorted(zone("janggi", "A", "palace"))
 _JG_HOME = sorted(zone("janggi", "A", "home_zone"))
 
 PAIR_FILL_MAX_SEQUENCES = 20_000_000
@@ -66,19 +66,23 @@ def _subsets(sites, taken, most: int):
             yield from combinations(free, size)
 
 
+def _camp_kinds(variant: str, player: str) -> list:
+    """A player's camp, every roster kind but the soldier, as ``_scan`` kinds."""
+    return [(zone(variant, player, kind.zone), kind.cap, kind.one_per_file)
+            for name, kind in ROSTER[variant].items() if name != "soldier"]
+
+
 def _camps(variant: str, player: str, most: int):
-    """Yield (advisor sites, elephant sites, occupied sites) for each camp: a
-    king in the palace with at most two advisors and, in Xiangqi, two
-    elephants, at most ``most`` pieces besides the king."""
-    palace = zone(variant, player, "palace")
-    advisor_sites = zone(variant, player, "advisor_sites")
-    elephant_sites = zone(variant, player, "elephant_sites") if variant == "xiangqi" else ()
-    for advisors in _subsets(advisor_sites, (), min(2, most)):
-        for elephants in _subsets(elephant_sites, (), min(2, most - len(advisors))):
-            camp = advisors + elephants
+    """Yield (the sites of each camp kind after the king, occupied sites) for
+    each camp: up to each kind's roster cap on its zone (the zones are
+    disjoint), at most ``most`` pieces in all, and a king on a free palace site."""
+    (palace, _, _), *others = _camp_kinds(variant, player)
+    for pieces in product(*(_subsets(sites, (), min(cap, most)) for sites, cap, _ in others)):
+        camp = sum(pieces, ())
+        if len(camp) <= most:
             for king in palace:
                 if king not in camp:
-                    yield advisors, elephants, frozenset((king, *camp))
+                    yield pieces, frozenset((king, *camp))
 
 
 def _one_per_file(sites, taken, most: int):
@@ -92,8 +96,8 @@ def _one_per_file(sites, taken, most: int):
 def _xq_camp_classes() -> Counter:
     """(advisors, elephants, elephants on the two sites shared with soldiers)
     -> camps."""
-    return Counter((len(adv), len(ele), len(_XQ_SHARED.intersection(ele)))
-                   for adv, ele, _ in _camps("xiangqi", "A", 4))
+    return Counter((len(adv), len(ele), len(_XQ_SHARED.intersection(ele)))  # caps bound it
+                   for (adv, ele), _ in _camps("xiangqi", "A", len(board_sites())))
 
 
 def enum_camp_xq(advisors: int, elephants: int) -> tuple[int, int, int, int]:
@@ -123,7 +127,8 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
 def _xq_side_grid() -> Counter:
     """(blanks, soldiers used) -> placements on one player's own half: the
     half scan with no opposing soldiers."""
-    return Counter({(45 - camp - soldiers, soldiers): ways
+    half = len(board_sites()) // 2
+    return Counter({(half - camp - soldiers, soldiers): ways
                     for (camp, soldiers, opposing), ways in _half("xiangqi").items()
                     if not opposing})
 
@@ -138,33 +143,34 @@ def enum_side_xq(blanks: int, reserve: int) -> int:
     """Half-board site scan bucketed by blanks and soldier reserve.
 
     Counts placements with the given blank count whose soldier usage leaves
-    at least ``reserve`` of the five soldiers unplaced.
+    at least ``reserve`` of the roster's soldiers unplaced.
     """
     grid = _xq_side_grid()
-    return sum(grid.get((blanks, s), 0) for s in range(0, 6 - reserve))
+    cap = ROSTER["xiangqi"]["soldier"].cap
+    return sum(grid.get((blanks, s), 0) for s in range(cap + 1 - reserve))
 
 
 @lru_cache(maxsize=1)
 def _jg_home_grid() -> Counter:
     """(palace pieces, opposing soldiers) -> placements in one home zone:
-    a scan of king, advisors and opposing soldiers, with the king placed."""
-    scan = _scan(_JG_HOME, [(_JG_PALACE, 1, False), (_JG_PALACE, 2, False),
-                            (_JG_HOME, 5, False)])
-    return _tally(((king + advisors, soldiers), ways)
-                  for (king, advisors, soldiers), ways in scan.items() if king)
+    a scan of the camp and opposing soldiers, with the king placed."""
+    cap = ROSTER["janggi"]["soldier"].cap
+    scan = _scan(_JG_HOME, [*_camp_kinds("janggi", "A"), (_JG_HOME, cap, False)])
+    return _tally(((king + sum(others), soldiers), ways)
+                  for (king, *others, soldiers), ways in scan.items() if king)
 
 
 def enum_home_jg(n: int, k: int) -> int:
     """Palace + opposing-soldier site scan of one Janggi home zone.
 
     Counts placements of n pieces (own king/advisors plus opposing soldiers)
-    leaving at least k of the five opposing soldiers unused.
+    leaving at least k of the opponent's roster soldiers unused.
     """
     grid = _jg_home_grid()
     return sum(
         count
         for (palace_pieces, soldiers), count in grid.items()
-        if palace_pieces + soldiers == n and 5 - soldiers >= k
+        if palace_pieces + soldiers == n and ROSTER["janggi"]["soldier"].cap - soldiers >= k
     )
 
 
@@ -198,11 +204,13 @@ def enum_pair_fill(m: int, n: int) -> int:
 
 def _homes(variant: str, player: str, most: int):
     """Yield (occupied sites, soldiers) for each of a player's home
-    placements: a camp and, in Xiangqi, one-per-file soldiers on the
-    player's own soldier sites, at most ``most`` pieces besides the king."""
-    own = zone(variant, player, "soldier_own_side_sites") if variant == "xiangqi" else ()
-    for _, _, camp in _camps(variant, player, most):
-        for soldiers in _one_per_file(own, camp, min(5, most + 1 - len(camp))):
+    placements: a camp and, in Xiangqi, one-per-file soldiers on the roster's
+    soldier zone up to its cap, at most ``most`` pieces besides the king.  Janggi's
+    soldier zone, the middle ranks, is both players': ``_away`` holds it."""
+    soldier = ROSTER[variant]["soldier"]
+    own = zone(variant, player, soldier.zone) if variant == "xiangqi" else ()
+    for _, camp in _camps(variant, player, most):
+        for soldiers in _one_per_file(own, camp, min(soldier.cap, most + 1 - len(camp))):
             yield camp.union(soldiers), len(soldiers)
 
 
@@ -221,7 +229,7 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
     Both kings are always present; advisors/elephants/soldiers are added up
     to the total bound.  One walk serves both variants: each player's home
     placements (``_homes``), then its other soldiers on its ``_away`` sites,
-    at most five soldiers a player.  Every subset is enumerated over
+    up to the roster's soldier cap a player.  Every subset is enumerated over
     concrete sites, each player on its own zones, so this is the final
     arbiter for the small convolution values.
     """
@@ -234,13 +242,14 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
         raise OracleBoundError("both kings are always on the board; need >= 2")
     counts: Counter = Counter()
     away_a, away_b = _away(variant, "A"), _away(variant, "B")
+    cap = ROSTER[variant]["soldier"].cap
     for occ_a, home_a in _homes(variant, "A", max_light_pieces - 2):
         for occ_b, home_b in _homes(variant, "B", max_light_pieces - 1 - len(occ_a)):
             occupied = occ_a | occ_b
             room = max_light_pieces - len(occupied)
-            for sold_a in _subsets(away_a, occupied, min(5 - home_a, room)):
+            for sold_a in _subsets(away_a, occupied, min(cap - home_a, room)):
                 for sold_b in _subsets(away_b, occupied.union(sold_a),
-                                       min(5 - home_b, room - len(sold_a))):
+                                       min(cap - home_b, room - len(sold_a))):
                     counts[len(occupied) + len(sold_a) + len(sold_b)] += 1
     return counts
 
@@ -250,10 +259,6 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
 # (2007): visit sites one at a time, keeping only per-kind piece counts.  It
 # shares no factorization with the closed forms: no camp classes, no
 # half-board grids, no convolution over blanks.
-
-# heavy pieces as within-pair-identical pairs: chariots, horses, cannons,
-# plus Janggi elephants, two of each per player
-_HEAVY_PAIRS = {"xiangqi": 6, "janggi": 8}
 
 
 def _scan(sites, kinds) -> Counter:
@@ -293,14 +298,9 @@ def _half(variant: str) -> Counter:
     ``geometry.zone`` builds B's zones as the mirrors of A's, a mirror keeps
     each site's file, and ``_scan`` does not mind the order within a file."""
     half = frozenset(s for s in board_sites() if s.rank <= 5)
-    camp = [(zone(variant, "A", "palace"), 1, False),
-            (zone(variant, "A", "advisor_sites"), 2, False)]
-    if variant == "xiangqi":
-        camp.append((zone(variant, "A", "elephant_sites"), 2, False))
-        own = (zone(variant, "A", "soldier_own_side_sites"), 5, True)
-    else:
-        own = (zone(variant, "A", "middle_ranks") & half, 5, False)
-    scan = _scan(half, [*camp, own, (half, 5, False)])
+    soldier = ROSTER[variant]["soldier"]
+    own = (zone(variant, "A", soldier.zone) & half, soldier.cap, soldier.one_per_file)
+    scan = _scan(half, [*_camp_kinds(variant, "A"), own, (half, soldier.cap, False)])
     return _tally(((king + sum(others), soldiers, opposing), ways)
                   for (king, *others, soldiers, opposing), ways in scan.items() if king)
 
@@ -308,13 +308,14 @@ def _half(variant: str) -> Counter:
 @lru_cache(maxsize=None)
 def scan_positions(variant: str) -> Counter:
     """Full-board light-stage placements by piece count, joining the half
-    scan with itself, once per player, so that each player has at most five
-    soldiers in all."""
+    scan with itself, once per player, so that each player has at most the
+    roster's soldier cap in all."""
+    cap = ROSTER[variant]["soldier"].cap
     half = _half(variant)
     return _tally((camp_a + home_a + away_b + camp_b + home_b + away_a, ways_a * ways_b)
                   for (camp_a, home_a, away_b), ways_a in half.items()
                   for (camp_b, home_b, away_a), ways_b in half.items()
-                  if home_a + away_a <= 5 and home_b + away_b <= 5)
+                  if home_a + away_a <= cap and home_b + away_b <= cap)
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +332,7 @@ def count_pair_fill(m: int, n: int) -> int:
 def scan_total(variant: str) -> int:
     """The grand total: scanned light-stage placements times the ways to
     fill y of the remaining sites with heavy pieces."""
-    pairs = _HEAVY_PAIRS[variant]
+    pairs = HEAVY_PAIRS[variant]
     sites = len(board_sites())
     return sum(ways * math.comb(sites - pieces, y) * count_pair_fill(pairs, y)
                for pieces, ways in scan_positions(variant).items()

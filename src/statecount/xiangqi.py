@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .combinatorics import binom, heavy_stage, light_stage, pair_fill_count
-from .geometry import zone
+from .geometry import HEAVY_PAIRS as _HEAVY_PAIRS, ROSTER, board_sites, zone
 
 PALACE = zone("xiangqi", "A", "palace")
 ADVISOR_SITES = zone("xiangqi", "A", "advisor_sites")
@@ -33,16 +33,18 @@ ELEPHANT_SITES = zone("xiangqi", "A", "elephant_sites")
 SOLDIER_SITES = zone("xiangqi", "A", "soldier_own_side_sites")
 SHARED_SITES = ELEPHANT_SITES & SOLDIER_SITES
 
-HALF_SITES = 45
-MAX_SOLDIERS = 5
-MAX_CAMP_PIECES = 5  # king + up to two advisors + up to two elephants
+HALF_SITES = len(board_sites()) // 2  # 45
+MAX_SOLDIERS = ROSTER["xiangqi"]["soldier"].cap
+MAX_CAMP_PIECES = sum(kind.cap for kind in ROSTER["xiangqi"].values()) - MAX_SOLDIERS  # 5
 MIN_SIDE_BLANKS = HALF_SITES - MAX_CAMP_PIECES - MAX_SOLDIERS  # 35
 MAX_SIDE_BLANKS = HALF_SITES - 1  # 44: the king always occupies a site
-HEAVY_PAIRS = 6  # two chariots, horses, cannons per player
+HEAVY_PAIRS = _HEAVY_PAIRS["xiangqi"]
 BLANKS_RANGE = range(2 * MIN_SIDE_BLANKS, 2 * MAX_SIDE_BLANKS + 1)  # 70..88
-# index ranges of the half-board grids: blanks on one half, soldiers used or
-# held in reserve, and blank soldier sites with no, one or two elephants on
-# the shared sites (10, 9, 8)
+# index ranges of the camp and half-board grids: advisors and elephants in a
+# camp, blanks on one half, soldiers used or held in reserve, and blank soldier
+# sites with no, one or two elephants on the shared sites (10, 9, 8)
+ADVISORS = range(ROSTER["xiangqi"]["advisor"].cap + 1)
+ELEPHANTS = range(ROSTER["xiangqi"]["elephant"].cap + 1)
 SIDE_BLANKS = range(MIN_SIDE_BLANKS, MAX_SIDE_BLANKS + 1)
 SOLDIERS = range(MAX_SOLDIERS + 1)
 BLANK_SOLDIER_SITES = range(len(SOLDIER_SITES), len(SOLDIER_SITES) - 3, -1)
@@ -89,8 +91,8 @@ def camp_classes(advisors: int, elephants: int) -> CampClassRow:
 def camp_by_piece_count(pieces_used: int) -> CampClassRow:
     """Aggregate camp rows over advisors + elephants + king = pieces_used."""
     summed = [0, 0, 0, 0]
-    for advisors in range(3):
-        for elephants in range(3):
+    for advisors in ADVISORS:
+        for elephants in ELEPHANTS:
             if advisors + elephants + 1 == pieces_used:
                 row = camp_classes(advisors, elephants)
                 for column in range(4):
@@ -177,7 +179,7 @@ def xq_grand_total() -> int:
 # called, so a rebound or wrapped closed form is seen by every cell.
 TABLES = {
     "t1": (("used_pieces", "advisors", "elephants"),
-           [(a + e + 1, a, e) for a in (2, 1, 0) for e in (2, 1, 0)],
+           [(a + e + 1, a, e) for a in reversed(ADVISORS) for e in reversed(ELEPHANTS)],
            CampClassRow._fields, lambda used, a, e: camp_classes(a, e)),
     "t2": (("used_pieces",), [(p,) for p in range(MAX_CAMP_PIECES, 0, -1)],
            CampClassRow._fields, lambda p: camp_by_piece_count(p)),

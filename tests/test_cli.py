@@ -286,6 +286,9 @@ class TestUsageErrors:
         ("oracle", "--target", "enum_pair_fill", "-1", "3"),
         ("oracle", "--target", "enum_pair_fill", "3", "-1"),
         ("oracle", "--target", "enum_soldiers_xq", "0", "7"),
+        (),
+        ("count",),
+        ("oracle",),
     ])
     def test_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,10 @@ import pytest
 
 from statecount import geometry
 from statecount.geometry import (
+    HEAVY_PAIRS,
+    PLAYERS,
+    ROSTER,
+    VARIANTS,
     Site,
     board_sites,
     mirror,
@@ -61,6 +65,23 @@ class TestJanggiZones:
 
     def test_advisors_roam_the_palace(self):
         assert zone("janggi", "A", "advisor_sites") == zone("janggi", "A", "palace")
+
+
+class TestRoster:
+    def test_every_kind_stands_on_a_zone(self):
+        for variant in VARIANTS:
+            assert {kind.zone for kind in ROSTER[variant].values()} <= set(zone_names(variant))
+
+    def test_sixteen_pieces_a_player(self):
+        # the heavy pairs are both players', two pieces to a pair
+        heavy = {v: 2 * HEAVY_PAIRS[v] // len(PLAYERS) for v in VARIANTS}
+        assert [k.cap for k in ROSTER["xiangqi"].values()] + [heavy["xiangqi"]] == [1, 2, 2, 5, 6]
+        assert [k.cap for k in ROSTER["janggi"].values()] + [heavy["janggi"]] == [1, 2, 5, 8]
+        assert all(sum(k.cap for k in ROSTER[v].values()) + heavy[v] == 16 for v in VARIANTS)
+
+    def test_only_the_xiangqi_soldier_is_one_per_file(self):
+        assert [(v, name) for v in VARIANTS for name, kind in ROSTER[v].items()
+                if kind.one_per_file] == [("xiangqi", "soldier")]
 
 
 def test_mirror_symmetry_every_zone():

@@ -176,7 +176,7 @@ def test_positions_walk_keeps_its_piece_budget(variant, monkeypatch):
     more subsets from ``_subsets`` though the counts come out the same.  The
     count stops the walk at the first draw past the total, so a widened
     walk fails at once."""
-    budget = {"xiangqi": 22_078, "janggi": 19_622}[variant]
+    budget = {"xiangqi": 22_028, "janggi": 19_450}[variant]
     subsets, drawn = oracle._subsets, [0]
 
     def counting_subsets(*args):
@@ -244,6 +244,55 @@ def test_player_b_half_scans_as_player_a_half(variant, monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", b_scan)
     assert oracle._half.__wrapped__(variant) == a_half
+
+
+# Every cap combination of the roster's advisors, elephants and soldiers, each
+# from 0 to its real cap, with the closed form reloaded at those caps.
+_REDUCED_RULES = """
+import importlib, itertools, json
+from statecount import geometry, janggi, oracle, xiangqi
+
+LIGHT = {"xiangqi": ("advisor", "elephant", "soldier"), "janggi": ("advisor", "soldier")}
+real = dict(geometry.ROSTER)
+combinations, walks, mismatches = 0, 0, []
+for variant, names in LIGHT.items():
+    for caps in itertools.product(*(range(real[variant][n].cap + 1) for n in names)):
+        combinations += 1
+        reduced = dict(zip(names, caps))
+        geometry.ROSTER[variant] = {name: kind._replace(cap=reduced.get(name, kind.cap))
+                                    for name, kind in real[variant].items()}
+        for value in vars(oracle).values():
+            getattr(value, "cache_clear", lambda: None)()
+        if variant == "xiangqi":
+            closed = importlib.reload(xiangqi)
+            positions = {90 - x: closed.xq_positions(x) for x in closed.BLANKS_RANGE}
+            total = closed.xq_grand_total()
+        else:
+            closed = importlib.reload(janggi)
+            positions = {n: closed.jg_positions(n) for n in closed.PIECES_RANGE}
+            total = closed.jg_grand_total()
+        scan = oracle.scan_positions(variant)
+        if (any(positions.get(p, 0) != scan[p] for p in {*positions, *scan})
+                or total != oracle.scan_total(variant)):
+            mismatches.append([variant, *caps])
+        if max(caps) <= 1:  # the walk at three pieces sees caps 0 and 1
+            walks += 1
+            walk = oracle.enum_positions_small(variant, 3)
+            if any(walk[p] != scan[p] for p in (2, 3)):
+                mismatches.append([variant, *caps, "walk"])
+print(json.dumps([combinations, walks, mismatches]))
+"""
+
+
+def test_reduced_rules_closed_form_equals_scan():
+    """At every advisor, elephant and soldier cap up to the real ones, the
+    closed form equals the scan at each index and in the grand total, and
+    at caps 0 and 1 the full-board walk agrees at three pieces.  A fresh
+    interpreter, because the closed-form modules are reloaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _REDUCED_RULES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [3 * 3 * 6 + 3 * 6, 2 * 2 * 2 + 2 * 2, []]
 
 
 def test_oracle_imports_only_geometry():

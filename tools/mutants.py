@@ -6,7 +6,8 @@ missing check.
 
 The operators: swap ``+``/``-``, ``*`` -> ``+``, ``//`` -> ``*``,
 ``**`` -> ``*``, ``<``/``<=``, ``>``/``>=``, ``==``/``!=``,
-``in``/``not in``, ``and``/``or``, or add 1 to an integer literal.
+``in``/``not in``, ``and``/``or``, ``True``/``False``, or add 1 to an
+integer literal.
 
 The checkout is copied once into a temporary directory; each mutant is
 written there with ``ast.unparse`` and ``pytest -x -q`` runs in the copy,
@@ -68,15 +69,16 @@ def sites(tree: ast.AST):
             for index, op in enumerate(node.ops):
                 if type(op) in SWAPS:
                     yield node, index
-        elif isinstance(node, ast.Constant) and type(node.value) is int:
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, bool):
             yield node, None
 
 
 def mutate(node: ast.AST, index: int | None) -> str:
     """Apply the site's mutation in place and describe it."""
     if isinstance(node, ast.Constant):
-        node.value += 1
-        return f"{node.value - 1} -> {node.value}"
+        old = node.value
+        node.value = not old if type(old) is bool else old + 1
+        return f"{old} -> {node.value}"
     if index is None:
         old, node.op = node.op, SWAPS[type(node.op)]()
         new = node.op
