@@ -6,6 +6,11 @@ from a stored table.
 """
 from statecount.geometry import validate_geometry, zone
 from statecount.xiangqi import (
+    ADVISORS,
+    BLANK_SOLDIER_SITES,
+    ELEPHANTS,
+    SIDE_BLANKS,
+    SOLDIERS,
     camp_by_piece_count,
     camp_classes,
     side_reserve,
@@ -23,20 +28,20 @@ print("  all geometry checks pass:",
 
 print("\n== stage 1: king + advisors + elephants in one camp ==")
 print("  advisors elephants | total  (split by elephants on the two shared sites)")
-for a in (2, 1, 0):
-    for e in (2, 1, 0):
+for a in reversed(ADVISORS):
+    for e in reversed(ELEPHANTS):
         total, two, one, none = camp_classes(a, e)
         print(f"       {a}        {e}    | {total:5d}  (two:{two:3d} one:{one:4d} none:{none:4d})")
 
 print("\n== stage 2: soldiers on the own half (one per file) ==")
-for blank in (10, 9, 8):
-    row = [soldier_own_side(blank, s) for s in range(6)]
+for blank in BLANK_SOLDIER_SITES:
+    row = [soldier_own_side(blank, s) for s in SOLDIERS]
     print(f"  {blank} free soldier sites: {row}")
 
 print("\n== stage 3: the half-board reserve grid d(blanks, reserve) ==")
-print("  blanks:", list(range(35, 45)))
-for reserve in range(6):
-    print(f"  reserve>={reserve}:", [side_reserve(n, reserve) for n in range(35, 45)])
+print("  blanks:", list(SIDE_BLANKS))
+for reserve in SOLDIERS:
+    print(f"  reserve>={reserve}:", [side_reserve(n, reserve) for n in SIDE_BLANKS])
 
 print("\n== stage 4: both halves convolved (soldiers may cross the river) ==")
 for x in (88, 87, 86, 80, 70):

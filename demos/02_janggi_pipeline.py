@@ -2,6 +2,8 @@
 """Walk the Janggi counting pipeline stage by stage."""
 from statecount.geometry import validate_geometry, zone
 from statecount.janggi import (
+    HOME_PIECES,
+    SOLDIERS,
     jg_grand_total,
     jg_home_count,
     jg_palace_arrangements,
@@ -20,8 +22,8 @@ for advisors in range(3):
 
 print("\n== stage 2: one home zone (own palace pieces + opposing soldiers) ==")
 print("  pieces | count by minimum reserved opposing soldiers (0..5)")
-for n in range(1, 9):
-    print(f"     {n}   |", [jg_home_count(n, k) for k in range(6)])
+for n in HOME_PIECES:
+    print(f"     {n}   |", [jg_home_count(n, k) for k in SOLDIERS])
 
 print("\n== stage 3: both home zones + soldiers on the middle ranks ==")
 for n in (2, 3, 4, 9, 16):

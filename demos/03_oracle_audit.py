@@ -7,6 +7,7 @@ Exact agreement across full domains is the package's correctness argument.
 """
 import time
 
+from statecount import janggi, xiangqi
 from statecount.combinatorics import pair_fill_count
 from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
 from statecount.oracle import (
@@ -31,19 +32,19 @@ def timed(label, fn):
 
 print("== camp arrangements (9 parameter combinations) ==")
 timed("enumeration vs closed form", lambda: all(
-    enum_camp_xq(a, e) == camp_classes(a, e) for a in range(3) for e in range(3)
+    enum_camp_xq(a, e) == camp_classes(a, e) for a in xiangqi.ADVISORS for e in xiangqi.ELEPHANTS
 ))
 
 print("== half-board reserve grid (60 cells, site scan of the 45-site half) ==")
 timed("scan vs closed form", lambda: all(
     enum_side_xq(n, k) == side_reserve(n, k)
-    for n in range(35, 45) for k in range(6)
+    for n in xiangqi.SIDE_BLANKS for k in xiangqi.SOLDIERS
 ))
 
 print("== home-zone grid (48 cells, site scan of the 27-site home zone) ==")
 timed("scan vs closed form", lambda: all(
     enum_home_jg(n, k) == jg_home_count(n, k)
-    for n in range(1, 9) for k in range(6)
+    for n in janggi.HOME_PIECES for k in janggi.SOLDIERS
 ))
 
 print("== pair-fill counts (all m <= 4, n <= 8 sequences) ==")
@@ -63,11 +64,11 @@ print(f"  closed form agrees:", all(jg[t] == jg_positions(t) for t in jg))
 
 print("== site-scan of the whole light stage and both grand totals ==")
 timed("xiangqi scan vs closed form (70..88 blanks, total)", lambda: (
-    scan_positions("xiangqi") == {90 - x: xq_positions(x) for x in range(70, 89)}
+    scan_positions("xiangqi") == {90 - x: xq_positions(x) for x in xiangqi.BLANKS_RANGE}
     and scan_total("xiangqi") == xq_grand_total()
 ))
 timed("janggi scan vs closed form (2..16 pieces, total)", lambda: (
-    scan_positions("janggi") == {n: jg_positions(n) for n in range(2, 17)}
+    scan_positions("janggi") == {n: jg_positions(n) for n in janggi.PIECES_RANGE}
     and scan_total("janggi") == jg_grand_total()
 ))
 timed("pair-fill recurrence vs closed form (m <= 8, n <= 16)", lambda: all(

@@ -8,6 +8,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import combinatorics, janggi, oracle, xiangqi
+from .geometry import board_sites
 
 # --- Xiangqi camp arrangements (source table 1): (advisors, elephants) ->
 #     (total, two shared-site elephants, one, none)
@@ -212,7 +213,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
                for a in xiangqi.ADVISORS for e in xiangqi.ELEPHANTS if a + e + 1 == pieces)),
     Family("xq.table3", "xiangqi", TABLE3,
            lambda blank, s: xiangqi.soldier_own_side(blank, s),
-           lambda blank, s: oracle.enum_soldiers_xq(10 - blank, s)),
+           lambda blank, s: oracle.enum_soldiers_xq(len(xiangqi.SOLDIER_SITES) - blank, s)),
     Family("xq.table4", "xiangqi", TABLE4,
            lambda n, s: xiangqi.side_exact(n, s),
            lambda n, s: oracle.enum_side_exact_xq(n, s)),
@@ -221,7 +222,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda n, k: oracle.enum_side_xq(n, k)),
     Family("xq.klist", "xiangqi", _keyed(XQ_KLIST),
            lambda x: xiangqi.xq_positions(x),
-           lambda x: oracle.scan_positions("xiangqi")[90 - x]),
+           lambda x: oracle.scan_positions("xiangqi")[len(board_sites()) - x]),
     Family("xq.dlist", "combinatorics", _keyed(XQ_DLIST),
            lambda y: combinatorics.pair_fill_count(xiangqi.HEAVY_PAIRS, y),
            lambda y: _pair_fill_oracle(xiangqi.HEAVY_PAIRS, y)),

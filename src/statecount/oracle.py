@@ -12,11 +12,11 @@ sequence by whether that numeral has no digit above 2.  The others walk
 and ``enum_positions_small`` is one walk for both variants, each
 player's ``_homes`` and then its soldiers on the ``_away`` sites.  The
 site-scan tier visits the board site by site: the grid oracles
-``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one scan
-of a half or a home zone, ``scan_positions``/``scan_total`` join one half
-scan with itself, and ``count_pair_fill`` is a recurrence on pairs.  The
-brute-force tier calls nothing of the scan tier, so the two check each
-other.  Oracles import only the geometry, its zones and its piece roster
+``enum_side_exact_xq``, ``enum_side_xq`` and ``enum_home_jg`` read one cached
+scan of a region, ``_region``, over a half or a home zone,
+``scan_positions``/``scan_total`` join the half's scan with itself, and
+``count_pair_fill`` is a recurrence on pairs.  The brute-force tier calls
+nothing of the scan tier, so the two check each other.  Oracles import only the geometry, its zones and its piece roster
 (read at call time), never the closed forms or their records, so ``import
 statecount.oracle`` runs ``geometry`` alone; agreement between oracles and
 closed forms is the package's core correctness argument.  Parameter domains
@@ -37,7 +37,7 @@ _XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
     "xiangqi", "A", "soldier_own_side_sites"
 )
-_JG_HOME = sorted(zone("janggi", "A", "home_zone"))
+_HALF = frozenset(s for s in board_sites() if s.rank <= 5)  # A's side of the river
 
 PAIR_FILL_MAX_SEQUENCES = 20_000_000
 POSITIONS_MAX_LIGHT_PIECES = 4
@@ -123,20 +123,10 @@ def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
     return sum(len(subset) == soldiers for subset in _one_per_file(_XQ_SOLDIER, blocked, soldiers))
 
 
-@lru_cache(maxsize=1)
-def _xq_side_grid() -> Counter:
-    """(blanks, soldiers used) -> placements on one player's own half: the
-    half scan with no opposing soldiers."""
-    half = len(board_sites()) // 2
-    return Counter({(half - camp - soldiers, soldiers): ways
-                    for (camp, soldiers, opposing), ways in _half("xiangqi").items()
-                    if not opposing})
-
-
 def enum_side_exact_xq(blanks: int, soldiers: int) -> int:
     """Half-board site scan: placements with exactly these blanks and
     own-side soldiers."""
-    return _xq_side_grid().get((blanks, soldiers), 0)
+    return _region("xiangqi", _HALF).get((len(_HALF) - blanks - soldiers, soldiers, 0), 0)
 
 
 def enum_side_xq(blanks: int, reserve: int) -> int:
@@ -145,19 +135,9 @@ def enum_side_xq(blanks: int, reserve: int) -> int:
     Counts placements with the given blank count whose soldier usage leaves
     at least ``reserve`` of the roster's soldiers unplaced.
     """
-    grid = _xq_side_grid()
+    half = _region("xiangqi", _HALF)
     cap = ROSTER["xiangqi"]["soldier"].cap
-    return sum(grid.get((blanks, s), 0) for s in range(cap + 1 - reserve))
-
-
-@lru_cache(maxsize=1)
-def _jg_home_grid() -> Counter:
-    """(palace pieces, opposing soldiers) -> placements in one home zone:
-    a scan of the camp and opposing soldiers, with the king placed."""
-    cap = ROSTER["janggi"]["soldier"].cap
-    scan = _scan(_JG_HOME, [*_camp_kinds("janggi", "A"), (_JG_HOME, cap, False)])
-    return _tally(((king + sum(others), soldiers), ways)
-                  for (king, *others, soldiers), ways in scan.items() if king)
+    return sum(half.get((len(_HALF) - blanks - s, s, 0), 0) for s in range(cap + 1 - reserve))
 
 
 def enum_home_jg(n: int, k: int) -> int:
@@ -166,12 +146,10 @@ def enum_home_jg(n: int, k: int) -> int:
     Counts placements of n pieces (own king/advisors plus opposing soldiers)
     leaving at least k of the opponent's roster soldiers unused.
     """
-    grid = _jg_home_grid()
-    return sum(
-        count
-        for (palace_pieces, soldiers), count in grid.items()
-        if palace_pieces + soldiers == n and ROSTER["janggi"]["soldier"].cap - soldiers >= k
-    )
+    home = _region("janggi", zone("janggi", "A", "home_zone"))
+    return sum(count for (camp, own, opposing), count in home.items()
+               if camp + own + opposing == n
+               and ROSTER["janggi"]["soldier"].cap - opposing >= k)
 
 
 def enum_pair_fill(m: int, n: int) -> int:
@@ -218,7 +196,7 @@ def _away(variant: str, player: str) -> frozenset:
     """The sites a player's other soldiers may take: the opposing half in
     Xiangqi, the middle ranks and the opposing home zone in Janggi."""
     if variant == "xiangqi":
-        return frozenset(s for s in board_sites() if (s.rank <= 5) != (player == "A"))
+        return board_sites() - _HALF if player == "A" else _HALF
     opponent = "B" if player == "A" else "A"
     return zone(variant, player, "middle_ranks") | zone(variant, opponent, "home_zone")
 
@@ -292,15 +270,17 @@ def _scan(sites, kinds) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _half(variant: str) -> Counter:
-    """(camp pieces, own soldiers, opposing soldiers) -> placements on player
-    A's half, ranks 1-5, with the king placed.  B's half counts the same:
-    ``geometry.zone`` builds B's zones as the mirrors of A's, a mirror keeps
-    each site's file, and ``_scan`` does not mind the order within a file."""
-    half = frozenset(s for s in board_sites() if s.rank <= 5)
+def _region(variant: str, sites: frozenset) -> Counter:
+    """(camp pieces, own soldiers, opposing soldiers) -> placements on
+    ``sites``, a region of player A's side, with the king placed: A's camp,
+    A's soldiers on the roster's soldier zone within ``sites``, and the
+    opponent's soldiers on any of ``sites``.  B's mirrored region counts the
+    same: ``geometry.zone`` builds B's zones as the mirrors of A's, a mirror
+    keeps each site's file, and ``_scan`` does not mind the order within a
+    file."""
     soldier = ROSTER[variant]["soldier"]
-    own = (zone(variant, "A", soldier.zone) & half, soldier.cap, soldier.one_per_file)
-    scan = _scan(half, [*_camp_kinds(variant, "A"), own, (half, soldier.cap, False)])
+    own = (zone(variant, "A", soldier.zone) & sites, soldier.cap, soldier.one_per_file)
+    scan = _scan(sites, [*_camp_kinds(variant, "A"), own, (sites, soldier.cap, False)])
     return _tally(((king + sum(others), soldiers, opposing), ways)
                   for (king, *others, soldiers, opposing), ways in scan.items() if king)
 
@@ -311,7 +291,7 @@ def scan_positions(variant: str) -> Counter:
     scan with itself, once per player, so that each player has at most the
     roster's soldier cap in all."""
     cap = ROSTER[variant]["soldier"].cap
-    half = _half(variant)
+    half = _region(variant, _HALF)
     return _tally((camp_a + home_a + away_b + camp_b + home_b + away_a, ways_a * ways_b)
                   for (camp_a, home_a, away_b), ways_a in half.items()
                   for (camp_b, home_b, away_a), ways_b in half.items()

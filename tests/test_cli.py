@@ -1,4 +1,6 @@
 """CLI surface: formats, exit codes, determinism."""
+import ast
+import importlib
 import inspect
 import json
 import os
@@ -562,3 +564,18 @@ def test_demo_runs(demo):
     _, err = proc.communicate(timeout=120)
     assert "Traceback" not in err
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("table", ["SPAN_FUNCTIONS", "COUNT_FUNCTIONS"])
+def test_traced_functions_exist(table):
+    """The benchmark tracer patches ``statecount.<module>.<name>`` for every
+    name in these tables and raises on a missing one, so a renamed function
+    breaks every traced run.  The tables are read from the tracer's source,
+    which this test does not import."""
+    tree = ast.parse((REPO / "benchmarks" / "tracer.py").read_text())
+    traced, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == [table])
+    missing = [f"{module}.{name}" for module, names in traced.items() for name in names
+               if not callable(getattr(importlib.import_module(f"statecount.{module}"), name, None))]
+    assert traced and not missing

@@ -13,7 +13,7 @@ import pytest
 
 from statecount import oracle
 from statecount.combinatorics import pair_fill_count
-from statecount.geometry import board_sites, mirror
+from statecount.geometry import board_sites, mirror, zone
 from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
 from statecount.oracle import (
     OracleBoundError,
@@ -227,23 +227,31 @@ class TestPositionsOracle:
             enum_positions_small("chess", 3)
 
 
-@pytest.mark.parametrize("variant", ["xiangqi", "janggi"])
-def test_player_b_half_scans_as_player_a_half(variant, monkeypatch):
-    """``scan_positions`` joins player A's half scan with itself.  Scanning
-    B's real half, ranks 6-10 with every zone mirrored as B's, gives the same
-    Counter, although the scan meets the mirrored sites of each file in
-    reverse rank order."""
-    a_half = oracle._half(variant)
+_B_HALF = {s for s in board_sites() if s.rank > 5}
+_B_HOME = {s for s in board_sites() if s.rank >= 8}
+
+
+@pytest.mark.parametrize("variant,region,b_region", [
+    pytest.param("xiangqi", oracle._HALF, _B_HALF, id="xiangqi"),
+    pytest.param("janggi", oracle._HALF, _B_HALF, id="janggi"),
+    pytest.param("janggi", zone("janggi", "A", "home_zone"), _B_HOME, id="janggi-home")])
+def test_player_b_half_scans_as_player_a_half(variant, region, b_region, monkeypatch):
+    """``scan_positions`` joins player A's half scan with itself, and
+    ``jg_home_count`` serves both players' home zones.  Scanning B's real
+    region, with every zone mirrored as B's, gives the same Counter,
+    although the scan meets the mirrored sites of each file in reverse rank
+    order."""
+    a_region = oracle._region(variant, region)
     scan = oracle._scan
 
     def b_scan(sites, kinds):
         b_sites = [mirror(s) for s in sites]
-        assert set(b_sites) == {s for s in board_sites() if s.rank > 5}
+        assert set(b_sites) == b_region
         return scan(b_sites, [(frozenset(map(mirror, zone_sites)), cap, one_per_file)
                               for zone_sites, cap, one_per_file in kinds])
 
     monkeypatch.setattr(oracle, "_scan", b_scan)
-    assert oracle._half.__wrapped__(variant) == a_half
+    assert oracle._region.__wrapped__(variant, region) == a_region
 
 
 # Every cap combination of the roster's advisors, elephants and soldiers, each
@@ -339,10 +347,11 @@ def test_brute_force_tier_never_reaches_the_scan(name):
     """The brute-force oracles and the test reference for the half scan stay
     independent of the site scan, so the two tiers check each other."""
     assert not {reached for reached in _reached(getattr(oracle, name))
-                if reached in ("_scan", "_half") or reached.startswith("scan_")}
+                if reached in ("_scan", "_region") or reached.startswith("scan_")}
 
 
 def test_scan_tier_walk_sees_the_scan():
     # the walk is not blind: the grid and total oracles do reach the scan
-    assert {"_half", "_scan"} <= _reached(enum_side_xq)
-    assert {"scan_positions", "_half", "_scan", "count_pair_fill"} <= _reached(scan_total)
+    assert {"_region", "_scan"} <= _reached(enum_side_xq)
+    assert {"_region", "_scan"} <= _reached(enum_home_jg)
+    assert {"scan_positions", "_region", "_scan", "count_pair_fill"} <= _reached(scan_total)
