@@ -27,7 +27,7 @@ _PAIR_FILL_DOMAINS = (range(janggi.HEAVY_PAIRS + 1), range(2 * janggi.HEAVY_PAIR
 ORACLES = {
     "enum_camp_xq": ((xiangqi.ADVISORS, xiangqi.ELEPHANTS), lambda row: " ".join(
         f"{h}={v}" for h, v in zip(xiangqi.CampClassRow._fields, row))),
-    "enum_soldiers_xq": ((range(3), xiangqi.SOLDIERS), str),
+    "enum_soldiers_xq": ((range(len(xiangqi.BLANK_SOLDIER_SITES)), xiangqi.SOLDIERS), str),
     "enum_side_exact_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),
     "enum_side_xq": ((xiangqi.SIDE_BLANKS, xiangqi.SOLDIERS), str),
     "enum_home_jg": ((janggi.HOME_PIECES, janggi.SOLDIERS), str),

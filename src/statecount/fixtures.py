@@ -231,7 +231,7 @@ FAMILIES: dict[str, Family] = {fam.name: fam for fam in (
            lambda: oracle.scan_total("xiangqi")),
     Family("jg.palace", "janggi", _keyed(JG_PALACE),
            lambda advisors: janggi.jg_palace_arrangements(advisors),
-           lambda advisors: oracle.enum_home_jg(advisors + 1, 5)),
+           lambda advisors: oracle.enum_home_jg(advisors + 1, janggi.MAX_SOLDIERS)),
     Family("jg.table6", "janggi", TABLE6,
            lambda n, k: janggi.jg_home_count(n, k),
            lambda n, k: oracle.enum_home_jg(n, k)),

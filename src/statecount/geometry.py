@@ -77,8 +77,9 @@ class Kind(NamedTuple):
     one_per_file: bool  # at most one of it on any file
 
 
-# Each player's light pieces by kind, the king first.  A soldier's zone is its
-# own side's; Xiangqi's also cross the river, Janggi's the opposing home zone.
+# Each player's light pieces by kind, the king first and the soldier last.  A
+# soldier's zone is its own side's; Xiangqi's also cross the river, Janggi's
+# the opposing home zone.
 ROSTER: dict[str, dict[str, Kind]] = {
     "xiangqi": {"king": Kind("palace", 1, False),
                 "advisor": Kind("advisor_sites", 2, False),

@@ -6,9 +6,9 @@ tier, ``enum_camp_xq``, ``enum_soldiers_xq``, ``enum_pair_fill`` and
 beyond zone membership, so it is auditable by eye.  The pair fill draws
 every sequence as the numeral of its symbol counts and judges each drawn
 sequence by whether that numeral has no digit above 2.  The others walk
-``_subsets``, the subsets of a zone's free sites up to a size bound:
-``_camps`` walks a king with its advisors and elephants,
-``_one_per_file`` keeps Xiangqi soldiers one per file on their own side,
+``_subsets``, the subsets of one kind's free sites up to a size bound,
+each kind drawn as the roster states it (``_kinds``: its zone, its cap and
+its file rule): ``_camps`` walks a king with its advisors and elephants,
 and ``enum_positions_small`` is one walk for both variants, each
 player's ``_homes`` and then its soldiers on the ``_away`` sites.  The
 site-scan tier visits the board site by site: the grid oracles
@@ -33,7 +33,6 @@ from itertools import combinations, product
 
 from .geometry import FILES, HEAVY_PAIRS, ROSTER, board_sites, zone
 
-_XQ_SOLDIER = sorted(zone("xiangqi", "A", "soldier_own_side_sites"))
 _XQ_SHARED = zone("xiangqi", "A", "elephant_sites") & zone(
     "xiangqi", "A", "soldier_own_side_sites"
 )
@@ -55,41 +54,39 @@ def _tally(pairs) -> Counter:
     return counts
 
 
-def _subsets(sites, taken, most: int):
-    """Subsets of the sites not in ``taken``, smallest first, of at most
-    ``most`` sites."""
+def _kinds(variant: str, player: str) -> list:
+    """A player's roster, the king first and the soldier last, as
+    ``(zone sites, cap, one_per_file)`` kinds."""
+    return [(zone(variant, player, kind.zone), kind.cap, kind.one_per_file)
+            for kind in ROSTER[variant].values()]
+
+
+def _subsets(kind, taken, most: int):
+    """Subsets of a kind's zone sites not in ``taken``, smallest first: at
+    most its cap and ``most`` sites, and with ``one_per_file`` at most one
+    on any file."""
+    sites, cap, one_per_file = kind
+    most = min(cap, most)
     if most >= 0:
         yield ()
     if most > 0:  # most calls ask for the empty subset alone
         free = [s for s in sites if s not in taken]
         for size in range(1, most + 1):
-            yield from combinations(free, size)
-
-
-def _camp_kinds(variant: str, player: str) -> list:
-    """A player's camp, every roster kind but the soldier, as ``_scan`` kinds."""
-    return [(zone(variant, player, kind.zone), kind.cap, kind.one_per_file)
-            for name, kind in ROSTER[variant].items() if name != "soldier"]
+            yield from (subset for subset in combinations(free, size)
+                        if not one_per_file or len({s.file for s in subset}) == size)
 
 
 def _camps(variant: str, player: str, most: int):
     """Yield (the sites of each camp kind after the king, occupied sites) for
-    each camp: up to each kind's roster cap on its zone (the zones are
-    disjoint), at most ``most`` pieces in all, and a king on a free palace site."""
-    (palace, _, _), *others = _camp_kinds(variant, player)
-    for pieces in product(*(_subsets(sites, (), min(cap, most)) for sites, cap, _ in others)):
+    each camp: its roster kinds but the soldier on their disjoint zones, at
+    most ``most`` pieces in all, and a king on a free palace site."""
+    (palace, _, _), *others, _ = _kinds(variant, player)
+    for pieces in product(*(_subsets(kind, (), most) for kind in others)):
         camp = sum(pieces, ())
         if len(camp) <= most:
             for king in palace:
                 if king not in camp:
                     yield pieces, frozenset((king, *camp))
-
-
-def _one_per_file(sites, taken, most: int):
-    """Subsets of the sites not in ``taken``, at most ``most`` sites and at
-    most one on any file."""
-    return (subset for subset in _subsets(sites, taken, most)
-            if len({s.file for s in subset}) == len(subset))
 
 
 @lru_cache(maxsize=1)
@@ -114,13 +111,14 @@ def enum_camp_xq(advisors: int, elephants: int) -> tuple[int, int, int, int]:
 
 
 def enum_soldiers_xq(shared_sites_blocked: int, soldiers: int) -> int:
-    """Exhaust own-half soldier subsets, at most one soldier per file.
+    """Exhaust own-half soldier subsets, under the roster's file rule.
 
     ``shared_sites_blocked`` of the two elephant/soldier shared sites are
     unavailable.  Domain <= 2^10.
     """
     blocked = sorted(_XQ_SHARED)[:shared_sites_blocked]
-    return sum(len(subset) == soldiers for subset in _one_per_file(_XQ_SOLDIER, blocked, soldiers))
+    soldier = _kinds("xiangqi", "A")[-1]
+    return sum(len(subset) == soldiers for subset in _subsets(soldier, blocked, soldiers))
 
 
 def enum_side_exact_xq(blanks: int, soldiers: int) -> int:
@@ -182,13 +180,13 @@ def enum_pair_fill(m: int, n: int) -> int:
 
 def _homes(variant: str, player: str, most: int):
     """Yield (occupied sites, soldiers) for each of a player's home
-    placements: a camp and, in Xiangqi, one-per-file soldiers on the roster's
-    soldier zone up to its cap, at most ``most`` pieces besides the king.  Janggi's
+    placements: a camp and, in Xiangqi, soldiers drawn as the roster's
+    soldier kind, at most ``most`` pieces besides the king.  Janggi's
     soldier zone, the middle ranks, is both players': ``_away`` holds it."""
-    soldier = ROSTER[variant]["soldier"]
-    own = zone(variant, player, soldier.zone) if variant == "xiangqi" else ()
+    sites, cap, one_per_file = _kinds(variant, player)[-1]
+    own = (sites if variant == "xiangqi" else (), cap, one_per_file)
     for _, camp in _camps(variant, player, most):
-        for soldiers in _one_per_file(own, camp, min(soldier.cap, most + 1 - len(camp))):
+        for soldiers in _subsets(own, camp, most + 1 - len(camp)):
             yield camp.union(soldiers), len(soldiers)
 
 
@@ -225,9 +223,9 @@ def enum_positions_small(variant: str, max_light_pieces: int) -> dict[int, int]:
         for occ_b, home_b in _homes(variant, "B", max_light_pieces - 1 - len(occ_a)):
             occupied = occ_a | occ_b
             room = max_light_pieces - len(occupied)
-            for sold_a in _subsets(away_a, occupied, min(cap - home_a, room)):
-                for sold_b in _subsets(away_b, occupied.union(sold_a),
-                                       min(cap - home_b, room - len(sold_a))):
+            for sold_a in _subsets((away_a, cap - home_a, False), occupied, room):
+                for sold_b in _subsets((away_b, cap - home_b, False), occupied.union(sold_a),
+                                       room - len(sold_a)):
                     counts[len(occupied) + len(sold_a) + len(sold_b)] += 1
     return counts
 
@@ -278,9 +276,8 @@ def _region(variant: str, sites: frozenset) -> Counter:
     same: ``geometry.zone`` builds B's zones as the mirrors of A's, a mirror
     keeps each site's file, and ``_scan`` does not mind the order within a
     file."""
-    soldier = ROSTER[variant]["soldier"]
-    own = (zone(variant, "A", soldier.zone) & sites, soldier.cap, soldier.one_per_file)
-    scan = _scan(sites, [*_camp_kinds(variant, "A"), own, (sites, soldier.cap, False)])
+    cap = ROSTER[variant]["soldier"].cap
+    scan = _scan(sites, [*_kinds(variant, "A"), (sites, cap, False)])
     return _tally(((king + sum(others), soldiers, opposing), ways)
                   for (king, *others, soldiers, opposing), ways in scan.items() if king)
 

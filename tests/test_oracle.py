@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from statecount import oracle
+from statecount import geometry, oracle
 from statecount.combinatorics import pair_fill_count
 from statecount.geometry import board_sites, mirror, zone
 from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
@@ -188,6 +188,25 @@ def test_positions_walk_keeps_its_piece_budget(variant, monkeypatch):
     monkeypatch.setattr(oracle, "_subsets", counting_subsets)
     enum_positions_small(variant, 3)
     assert drawn[0] == budget
+
+
+def test_walk_reads_the_roster_file_rule(monkeypatch):
+    """With the Xiangqi soldier's file rule off in the roster, the walk's
+    home placements still equal the half scan's, with no opposing soldiers
+    and the same piece bound, and any two own-side soldier sites count.
+    ``__wrapped__`` scans afresh, so no cache keeps a count of the other
+    rule."""
+    xq = geometry.ROSTER["xiangqi"]
+    monkeypatch.setitem(geometry.ROSTER, "xiangqi",
+                        {**xq, "soldier": xq["soldier"]._replace(one_per_file=False)})
+    half = oracle._region.__wrapped__("xiangqi", oracle._HALF)
+    for most in range(4):
+        walk = Counter((len(occupied), soldiers)
+                       for occupied, soldiers in oracle._homes("xiangqi", "A", most))
+        assert walk == Counter({(camp + own, own): ways
+                                for (camp, own, opposing), ways in half.items()
+                                if not opposing and camp + own <= most + 1})
+    assert enum_soldiers_xq(0, 2) == 45
 
 
 class TestPositionsOracle:
