@@ -4,7 +4,8 @@ The pipeline, in order:
 
 1. ``camp_classes``: one player's king/advisors/elephants inside the camp,
    classified by how many elephants stand on the two fifth-rank sites shared
-   with soldiers (those sites shrink the soldier zone).
+   with soldiers (those sites shrink the soldier zone); a sum of binomial
+   products over the elephant orbit's three site classes.
 2. ``soldier_own_side``: one player's soldiers on their own half, at most
    one per file.
 3. ``side_exact`` / ``side_reserve``: the half-board occupancy grid, keyed
@@ -21,7 +22,6 @@ no table values are hard-coded.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .combinatorics import binom, heavy_stage, light_stage, pair_fill_count
@@ -32,6 +32,9 @@ ADVISOR_SITES = zone("xiangqi", "A", "advisor_sites")
 ELEPHANT_SITES = zone("xiangqi", "A", "elephant_sites")
 SOLDIER_SITES = zone("xiangqi", "A", "soldier_own_side_sites")
 SHARED_SITES = ELEPHANT_SITES & SOLDIER_SITES
+# the orbit's two other site classes: its palace site (ranks 1-3, never shared), four others
+PALACE_ELEPHANT_SITES = ELEPHANT_SITES & PALACE
+OTHER_ELEPHANT_SITES = ELEPHANT_SITES - SHARED_SITES - PALACE
 
 HALF_SITES = len(board_sites()) // 2  # 45
 MAX_SOLDIERS = ROSTER["xiangqi"]["soldier"].cap
@@ -61,29 +64,22 @@ class CampClassRow(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _elephant_subset_classes(elephants: int) -> dict[tuple[int, int], int]:
-    """Count elephant-site subsets by (shared-site count, in-palace count)."""
-    classes: dict[tuple[int, int], int] = {}
-    for subset in combinations(sorted(ELEPHANT_SITES), elephants):
-        key = (len(set(subset) & SHARED_SITES), len(set(subset) & PALACE))
-        classes[key] = classes.get(key, 0) + 1
-    return classes
-
-
-@lru_cache(maxsize=None)
 def camp_classes(advisors: int, elephants: int) -> CampClassRow:
     """Placements of king + identical advisors + identical elephants.
 
     Advisors occupy advisor sites (all inside the palace), elephants occupy
     the seven-point orbit, and the king takes any palace site not already
     occupied, so each advisor and each in-palace elephant removes one king
-    choice.
+    choice.  Summed over the elephants on shared and on palace sites, the rest
+    on the other orbit sites; a split that does not fit has a factor of 0.
     """
     advisor_ways = binom(len(ADVISOR_SITES), advisors)
     by_shared = [0, 0, 0]
-    for (shared, in_palace), ways in _elephant_subset_classes(elephants).items():
-        king_choices = len(PALACE) - advisors - in_palace
-        by_shared[shared] += advisor_ways * ways * king_choices
+    for shared in range(len(SHARED_SITES) + 1):
+        for in_palace in range(len(PALACE_ELEPHANT_SITES) + 1):
+            ways = binom(len(SHARED_SITES), shared) * binom(len(PALACE_ELEPHANT_SITES), in_palace)
+            others = binom(len(OTHER_ELEPHANT_SITES), elephants - shared - in_palace)
+            by_shared[shared] += advisor_ways * ways * others * (len(PALACE) - advisors - in_palace)
     return CampClassRow(sum(by_shared), *reversed(by_shared))
 
 

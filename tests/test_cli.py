@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import types
 from itertools import chain, permutations, product
 from pathlib import Path
@@ -271,6 +272,18 @@ def test_fast_path_parses_as_argparse_does():
     assert [argv for argv in other if _fast_args(argv) is not None] == []
 
 
+def test_no_argv_parses_the_process_arguments(capsys, monkeypatch):
+    """``main()`` reads the process's own argv past the program name, and a
+    canonical argv there needs no argparse parser."""
+    def no_parser(*_):
+        raise AssertionError("the fast path declined a canonical argv")
+
+    monkeypatch.setattr(sys, "argv", ["statecount", "count", "--variant", "janggi"])
+    monkeypatch.setattr(cli, "commands", types.SimpleNamespace(build_parser=no_parser))
+    assert main() == 0
+    assert capsys.readouterr().out == f"{janggi.jg_grand_total()}\n"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("count", "--variant", "chess"),
@@ -364,6 +377,14 @@ class TestOracleCommand:
         assert "total=1410" in out
         assert "two_shared=70" in out
         assert "wall_time_s=" in out
+
+    def test_wall_time_is_the_oracle_call(self, capsys):
+        started = time.perf_counter()
+        code, out = run_cli(capsys, "oracle", "--target", "enum_camp_xq", "2", "2")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        wall_time = float(out.rsplit("wall_time_s=", 1)[1])
+        assert 0 <= wall_time <= elapsed + 0.0005
 
     def test_positions_small(self, capsys):
         code, out = run_cli(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from statecount import geometry, oracle
+from statecount import combinatorics, geometry, janggi, oracle, xiangqi
 from statecount.combinatorics import pair_fill_count
 from statecount.geometry import board_sites, mirror, zone
 from statecount.janggi import jg_grand_total, jg_home_count, jg_positions
@@ -341,6 +341,16 @@ def test_oracle_imports_only_geometry():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert json.loads(done.stdout) == ["statecount", "statecount.geometry", "statecount.oracle"]
+
+
+def test_closed_forms_import_no_itertools():
+    """The closed forms multiply binomials; only the oracles enumerate."""
+    for module in (combinatorics, xiangqi, janggi):
+        tree = ast.parse(Path(module.__file__).read_text())
+        taken = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        taken |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                  for a in node.names}
+        assert "itertools" not in taken, module.__name__
 
 
 def _reached(function) -> set[str]:
